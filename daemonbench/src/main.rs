@@ -2,9 +2,10 @@
 //!
 //! One single-threaded load generator drives a release `ucfg serve` child
 //! process over one keep-alive loopback connection, closed loop: the next
-//! op is sent only after the previous reply has arrived. The daemon runs
-//! with `--shards 1`, the default cache (64 entries) and `UCFG_THREADS` =
-//! the machine's core count. `README.md` says why each workload exists.
+//! request is sent only after the previous reply has arrived. The daemon
+//! runs with `--shards 1`, the default cache (64 entries) and
+//! `UCFG_THREADS` = the machine's core count. `README.md` says why each
+//! workload exists.
 //!
 //! ```text
 //! daemonbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
@@ -14,50 +15,48 @@
 //! The last stdout line is one JSON object: the end-to-end metrics with
 //! `--trace 0`, the per-layer metrics of the traced run with `--trace 1`.
 
-use std::collections::{HashMap, HashSet};
-use std::hint::black_box;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, ExitCode, Stdio};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use ucfg_core::ln_grammars::appendix_a_grammar;
-use ucfg_grammar::analysis::nullable;
-use ucfg_grammar::cyk::{CykChart, CykRuleIndex};
-use ucfg_grammar::earley::Earley;
-use ucfg_grammar::sample::TreeSampler;
-use ucfg_grammar::text::parse_grammar;
-use ucfg_grammar::{CnfGrammar, Grammar};
-use ucfg_serve::cache::GrammarArtifact;
-use ucfg_serve::http::{render_response, Assembler, Limits};
-use ucfg_serve::protocol::ParseRequest;
-use ucfg_serve::Json;
-use ucfg_support::fnv::Fnv1a;
-use ucfg_support::rng::{Rng, SeedableRng, StdRng};
-use ucfg_support::{obs, par, simd};
+mod oracle;
+mod replay;
+mod wire;
+mod workload;
 
-/// The daemon's command line: an ephemeral loopback port, one shard, and
-/// every other setting (cache capacity 64, queue depth 256, …) default.
-const SERVE_ARGS: [&str; 7] = [
-    "serve",
-    "--host",
-    "127.0.0.1",
-    "--port",
-    "0",
-    "--shards",
-    "1",
-];
-/// Daemons started per timed run: `setup_s` is the median of their set-up
+use oracle::Oracle;
+use replay::{replay, Snapshot};
+use std::hint::black_box;
+use std::path::PathBuf;
+use std::process::{Command, ExitCode, Stdio};
+use std::time::{Duration, Instant};
+use ucfg_serve::Json;
+use ucfg_support::{obs, par};
+use wire::{fingerprint, frame, Conn, Daemon, Env, Reply};
+use workload::{Workload, NAMES};
+
+/// Daemons set up per timed run: `setup_s` is the median of their set-up
 /// times, and the last one is measured.
-const SETUPS: usize = 3;
-/// Relative `ops_per_s` change between the halves of the measured phase
-/// above which a run is flagged as drifting.
+const SETUPS: usize = 5;
+/// The measured phase is cut into windows of this many seconds (an op
+/// belongs to the window its last reply arrived in) ...
+const WINDOW_SECS: f64 = 0.25;
+/// ... and `ops_per_s`, `p50_ms` and `p99_ms` are taken over the ops of
+/// the fastest windows that together hold at least `BEST_OPS` ops (so
+/// ≥ 12 samples lie beyond p99) and `1 / BEST_OF` of the windows. A
+/// shared host alternates between fast and slow periods lasting seconds
+/// to minutes (a pure CPU loop varied 1.15–1.74 s within one minute, with
+/// no steal time), which moves every CPU-bound figure; like `timeit`'s
+/// minimum, the fastest windows measure the program rather than its
+/// neighbours.
+const BEST_OPS: usize = 1200;
+const BEST_OF: usize = 10;
+/// Relative `ops_per_s` change between the halves of a measured phase
+/// above which the run is flagged as drifting.
 const DRIFT_LIMIT: f64 = 0.05;
 /// `/healthz` round trips behind the wire-floor estimate.
 const FLOOR_PROBES: usize = 200;
 /// `par::run_chunks(2, 2, no-op)` calls behind `support.par.spawn_us`.
 const SPAWN_PROBES: usize = 200;
+/// The traced run alternates blocks of this many untraced ops and traced
+/// ops (spans recorded), so both rates see the same drift.
+const TRACE_BLOCK: usize = 32;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,10 +73,6 @@ fn main() -> ExitCode {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Flags and paths
-// ---------------------------------------------------------------------------
-
 struct Opts {
     workload: String,
     seed: u64,
@@ -90,7 +85,7 @@ impl Opts {
         let mut o = Opts {
             workload: String::new(),
             seed: 1,
-            seconds: 5.0,
+            seconds: 12.0,
             trace: false,
         };
         let mut it = args.iter();
@@ -111,7 +106,7 @@ impl Opts {
             }
         }
         if o.workload.is_empty() {
-            return Err("--workload is required (parse_warm | parse_cold)".into());
+            return Err(format!("--workload is required ({NAMES})"));
         }
         if o.seconds <= 0.0 {
             return Err("--seconds must be positive".into());
@@ -126,660 +121,190 @@ fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag}: not a number: {value:?}"))
 }
 
-/// The `ucfg` binary next to this one (both built into one target
-/// directory by `run.sh`) and a scratch directory under that target
-/// directory for the daemon's exit metrics and the traced run's spans.
-struct Env {
-    ucfg: PathBuf,
-    work: PathBuf,
-    threads: usize,
-}
-
-impl Env {
-    fn locate() -> Result<Env, String> {
-        let exe = std::env::current_exe().map_err(|e| format!("cannot locate this binary: {e}"))?;
-        let bin_dir = exe.parent().ok_or("binary has no parent directory")?;
-        let ucfg = bin_dir.join("ucfg");
-        if !ucfg.is_file() {
-            return Err(format!(
-                "{} is missing; build through daemonbench/run.sh",
-                ucfg.display()
-            ));
-        }
-        let work = bin_dir.parent().unwrap_or(bin_dir).join("daemonbench-work");
-        std::fs::create_dir_all(&work).map_err(|e| format!("{}: {e}", work.display()))?;
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Ok(Env {
-            ucfg,
-            work,
-            threads,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Workloads
-// ---------------------------------------------------------------------------
-
-/// One pooled `/parse` request: its grammar, word, JSON body and frame.
-struct Input {
-    grammar: usize,
-    word: String,
-    body: String,
-    frame: Vec<u8>,
-}
-
-/// A workload: grammars, the request pool, the set-up requests and the
-/// order the closed loop walks the pool in (repeated).
-struct Workload {
-    name: &'static str,
-    grammars: Vec<Grammar>,
-    inputs: Vec<Input>,
-    prime: Vec<usize>,
-    schedule: Vec<usize>,
-}
-
-impl Workload {
-    fn build(name: &str, seed: u64) -> Result<Workload, String> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        match name {
-            "parse_warm" => Ok(parse_warm(&mut rng)),
-            "parse_cold" => Ok(parse_cold(&mut rng)),
-            other => Err(format!(
-                "unknown workload {other:?} (parse_warm | parse_cold)"
-            )),
-        }
-    }
-
-    fn push(&mut self, grammar: usize, word: String, spec: Vec<(&str, Json)>) {
-        let mut fields = spec;
-        fields.push(("word", Json::str(word.clone())));
-        let body = Json::obj(fields).render();
-        let frame = frame("POST", "/parse", &body);
-        self.inputs.push(Input {
-            grammar,
-            word,
-            body,
-            frame,
-        });
-    }
-
-    /// FNV-1a over every frame the workload can send and the schedule: two
-    /// runs with one seed send identical traffic iff their digests agree.
-    fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        for &i in self.prime.iter().chain(&self.schedule) {
-            h.write(&self.inputs[i].frame);
-        }
-        h.finish()
-    }
-}
-
-/// Dyck-style text grammars of `parse_warm` beside `appendix-a`; the third
-/// is ambiguous, so exact counts run into big integers.
-const WARM_TEXT_GRAMMARS: [&str; 5] = [
-    "S -> a S b S | ()",
-    "S -> a S b S | c S d S | ()",
-    "S -> a S b | S S | a b",
-    "S -> a S b S | c S | ()",
-    "S -> L S R S | ()\nL -> a | c\nR -> b | d",
-];
-/// `appendix-a` sizes: words of `L_n` have exactly `2n` letters.
-const WARM_APPENDIX_N: [usize; 3] = [48, 56, 64];
-const WARM_WORDS_PER_GRAMMAR: usize = 96;
-
-/// 8 grammars primed into the cache, 96–128-letter words, members and
-/// non-members alternating: every op is a cache hit, CYK fill + count.
-fn parse_warm(rng: &mut StdRng) -> Workload {
-    let mut wl = empty("parse_warm");
-    for n in WARM_APPENDIX_N {
-        let gi = wl.grammars.len();
-        wl.grammars.push(appendix_a_grammar(n));
-        for j in 0..WARM_WORDS_PER_GRAMMAR {
-            let word = ln_word(rng, n, j % 2 == 0);
-            let spec = vec![
-                ("builtin", Json::str("appendix-a")),
-                ("n", Json::Int(n as i64)),
-            ];
-            wl.push(gi, word, spec);
-        }
-    }
-    for src in WARM_TEXT_GRAMMARS {
-        let gi = wl.grammars.len();
-        let g = parse_grammar(src).expect("built-in grammar text parses");
-        let cnf = CnfGrammar::from_grammar(&g);
-        let sampler = TreeSampler::new(&cnf, 128);
-        for j in 0..WARM_WORDS_PER_GRAMMAR {
-            // Even lengths spread evenly over 96..=128, the same mix for
-            // every seed; the seed picks the letters.
-            let len = 96 + 2 * (j % 17);
-            let word = sampled_word(&sampler, g.alphabet(), len, j % 2 == 0, rng);
-            wl.push(gi, word, vec![("grammar", Json::str(src))]);
-        }
-        wl.grammars.push(g);
-    }
-    wl.prime = (0..wl.inputs.len()).collect();
-    wl.schedule = (0..wl.inputs.len()).collect();
-    rng.shuffle(&mut wl.schedule);
-    wl
-}
-
-/// Distinct grammars cycled by `parse_cold`: 5× the daemon's default
-/// cache capacity (64), so the LRU never hits.
-const COLD_GRAMMARS: usize = 320;
-const COLD_WORDS_PER_GRAMMAR: usize = 4;
-const COLD_NONTERMINALS: usize = 24;
-const COLD_ALTERNATIVES: usize = 5;
-const COLD_ALPHABET: [char; 4] = ['a', 'b', 'c', 'd'];
-
-/// Random grammars from a narrow size band, 8–16-letter words: every op
-/// misses the cache, compiles (text parse, CNF, rule index, nullable) and
-/// evicts.
-fn parse_cold(rng: &mut StdRng) -> Workload {
-    let mut wl = empty("parse_cold");
-    let mut seen = HashSet::new();
-    while wl.grammars.len() < COLD_GRAMMARS {
-        let src = random_grammar_text(rng);
-        let g = parse_grammar(&src).expect("generated grammar text parses");
-        let cnf = CnfGrammar::from_grammar(&g);
-        let sampler = TreeSampler::new(&cnf, 16);
-        let lens: Vec<usize> = (8..=16)
-            .filter(|&l| !sampler.tree_count(l).is_zero())
-            .collect();
-        if lens.is_empty() || !seen.insert(g.content_hash()) {
-            continue;
-        }
-        let gi = wl.grammars.len();
-        for j in 0..COLD_WORDS_PER_GRAMMAR {
-            let len = lens[rng.random_range(0..lens.len())];
-            let word = sampled_word(&sampler, g.alphabet(), len, j % 2 == 0, rng);
-            wl.push(gi, word, vec![("grammar", Json::str(src.clone()))]);
-        }
-        wl.grammars.push(g);
-    }
-    // Pass c of the schedule sends word c of every grammar, grammars in
-    // one seeded order; set-up compiles every grammar once (last word), so
-    // the cache is full and evicting before the first timed op.
-    let mut perm: Vec<usize> = (0..COLD_GRAMMARS).collect();
-    rng.shuffle(&mut perm);
-    let w = COLD_WORDS_PER_GRAMMAR;
-    wl.prime = perm.iter().map(|&g| g * w + w - 1).collect();
-    wl.schedule = (0..w)
-        .flat_map(|c| perm.iter().map(move |&g| g * w + c))
-        .collect();
-    wl
-}
-
-fn empty(name: &'static str) -> Workload {
-    Workload {
-        name,
-        grammars: Vec::new(),
-        inputs: Vec::new(),
-        prime: Vec::new(),
-        schedule: Vec::new(),
-    }
-}
-
-/// A word of length `2n`: in `L_n` (some `k` with `w_k = w_{k+n} = a`)
-/// or not (every pair at distance `n` avoids `(a, a)`).
-fn ln_word(rng: &mut StdRng, n: usize, member: bool) -> String {
-    let mut w = vec![b'b'; 2 * n];
-    if member {
-        for c in w.iter_mut() {
-            *c = if rng.random_bool(0.5) { b'a' } else { b'b' };
-        }
-        let k = rng.random_range(0..n);
-        w[k] = b'a';
-        w[k + n] = b'a';
-    } else {
-        for k in 0..n {
-            let (x, y) = [(b'a', b'b'), (b'b', b'a'), (b'b', b'b')][rng.random_range(0..3usize)];
-            w[k] = x;
-            w[k + n] = y;
-        }
-    }
-    String::from_utf8(w).expect("ascii")
-}
-
-/// A sampled member of length `len`, or for non-members the same with one
-/// letter changed (a random word when the length has no member).
-fn sampled_word(
-    sampler: &TreeSampler<'_>,
-    alphabet: &[char],
-    len: usize,
-    member: bool,
-    rng: &mut StdRng,
-) -> String {
-    let mut w: Vec<char> = match sampler.sample_word(len, rng) {
-        Some(s) => s.chars().collect(),
-        None => (0..len)
-            .map(|_| alphabet[rng.random_range(0..alphabet.len())])
-            .collect(),
-    };
-    if !member {
-        let i = rng.random_range(0..w.len());
-        let others: Vec<char> = alphabet.iter().copied().filter(|&c| c != w[i]).collect();
-        w[i] = others[rng.random_range(0..others.len())];
-    }
-    w.into_iter().collect()
-}
-
-/// A random grammar over `a`–`d`: the first alternative of every
-/// non-terminal is terminal-only (so all are productive), the others mix
-/// 2–4 terminals and non-terminals. No ε and no unit rules.
-fn random_grammar_text(rng: &mut StdRng) -> String {
-    let name = |i: usize| {
-        if i == 0 {
-            "S".to_string()
-        } else {
-            format!("N{i}")
-        }
-    };
-    let mut text = String::new();
-    for i in 0..COLD_NONTERMINALS {
-        let mut alts = Vec::with_capacity(COLD_ALTERNATIVES);
-        let first: Vec<String> = (0..rng.random_range(1..=2usize))
-            .map(|_| COLD_ALPHABET[rng.random_range(0..4usize)].to_string())
-            .collect();
-        alts.push(first.join(" "));
-        for _ in 1..COLD_ALTERNATIVES {
-            let body: Vec<String> = (0..rng.random_range(2..=4usize))
-                .map(|_| {
-                    if rng.random_bool(0.5) {
-                        COLD_ALPHABET[rng.random_range(0..4usize)].to_string()
-                    } else {
-                        name(rng.random_range(0..COLD_NONTERMINALS))
-                    }
-                })
-                .collect();
-            alts.push(body.join(" "));
-        }
-        text.push_str(&format!("{} -> {}\n", name(i), alts.join(" | ")));
-    }
-    text
-}
-
-// ---------------------------------------------------------------------------
-// Client and daemon
-// ---------------------------------------------------------------------------
-
-/// A complete request frame, sent with one `write_all` so the daemon sees
-/// one segment per request (`ucfg_serve::Client` formats the head piece by
-/// piece onto the socket).
-fn frame(method: &str, path: &str, body: &str) -> Vec<u8> {
-    let mut f = format!(
-        "{method} {path} HTTP/1.1\r\nHost: ucfg-serve\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    f.extend_from_slice(body.as_bytes());
-    f
-}
-
-struct Reply {
-    status: u16,
-    body: String,
-}
-
-/// One keep-alive connection, sequential request/response.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    line: String,
-}
-
-impl Conn {
-    fn connect(addr: &str) -> io::Result<Conn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-        Ok(Conn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-            line: String::new(),
-        })
-    }
-
-    fn send(&mut self, frame: &[u8]) -> io::Result<Reply> {
-        let invalid = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        self.writer.write_all(frame)?;
-        self.read_line()?;
-        let status = self
-            .line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| invalid("bad status line"))?;
-        let mut length = 0usize;
-        loop {
-            self.read_line()?;
-            if self.line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = self.line.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    length = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| invalid("bad content-length"))?;
-                }
-            }
-        }
-        let mut body = vec![0u8; length];
-        self.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body).map_err(|_| invalid("non-UTF-8 body"))?;
-        Ok(Reply { status, body })
-    }
-
-    fn read_line(&mut self) -> io::Result<()> {
-        self.line.clear();
-        if self.reader.read_line(&mut self.line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection",
-            ));
-        }
-        let keep = self.line.trim_end_matches(['\r', '\n']).len();
-        self.line.truncate(keep);
-        Ok(())
-    }
-
-    fn get_json(&mut self, path: &str) -> Result<Json, String> {
-        let r = self
-            .send(&frame("GET", path, ""))
-            .map_err(|e| format!("GET {path}: {e}"))?;
-        if r.status != 200 {
-            return Err(format!("GET {path} answered {}", r.status));
-        }
-        Json::parse(r.body.trim_end()).map_err(|e| format!("GET {path}: {e}"))
-    }
-}
-
-/// The daemon under test; killed and reaped on drop unless it already
-/// exited cleanly.
-struct Daemon {
-    child: Child,
-    addr: String,
-    stderr: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Daemon {
-    fn spawn(env: &Env, trace: bool) -> Result<Daemon, String> {
-        let mut child = Command::new(&env.ucfg)
-            .args(SERVE_ARGS)
-            .env("UCFG_THREADS", env.threads.to_string())
-            .env("UCFG_TRACE", if trace { "1" } else { "0" })
-            .env("UCFG_OUT_DIR", &env.work)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("cannot start {}: {e}", env.ucfg.display()))?;
-        let stderr = child.stderr.take().expect("stderr is piped");
-        let mut daemon = Daemon {
-            child,
-            addr: String::new(),
-            stderr: None,
-        };
-        let mut lines = BufReader::new(stderr);
-        let mut line = String::new();
-        while daemon.addr.is_empty() {
-            line.clear();
-            if !matches!(lines.read_line(&mut line), Ok(n) if n > 0) {
-                return Err("daemon exited before listening".into());
-            }
-            if let Some(rest) = line.split("listening on ").nth(1) {
-                daemon.addr = rest
-                    .split_whitespace()
-                    .next()
-                    .unwrap_or_default()
-                    .to_string();
-            }
-        }
-        // Keep draining so the daemon never blocks on a full pipe.
-        daemon.stderr = Some(std::thread::spawn(move || {
-            let mut sink = String::new();
-            while matches!(lines.read_line(&mut sink), Ok(n) if n > 0) {
-                sink.clear();
-            }
-        }));
-        Ok(daemon)
-    }
-
-    /// Peak resident set (`VmHWM`) in MiB.
-    fn peak_rss_mb(&self) -> Result<f64, String> {
-        let path = format!("/proc/{}/status", self.child.id());
-        let status = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("VmHWM:"))
-            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-            .map(|kb| kb / 1024.0)
-            .ok_or_else(|| format!("{path} has no VmHWM"))
-    }
-
-    /// `POST /shutdown`, then wait for a clean exit.
-    fn shutdown(mut self, conn: &mut Conn) -> Result<(), String> {
-        conn.send(&frame("POST", "/shutdown", ""))
-            .map_err(|e| format!("shutdown: {e}"))?;
-        let start = Instant::now();
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(s)) if s.success() => return Ok(()),
-                Ok(Some(s)) => return Err(format!("daemon exited with {s}")),
-                Ok(None) if start.elapsed() < Duration::from_secs(30) => {
-                    std::thread::sleep(Duration::from_millis(5))
-                }
-                _ => return Err("daemon did not exit after /shutdown".into()),
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        if !matches!(self.child.try_wait(), Ok(Some(_))) {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-        }
-        if let Some(h) = self.stderr.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Machine and settings stamped on every result.
-fn fingerprint(threads: usize) -> String {
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find_map(|l| l.strip_prefix("model name"))
-                .and_then(|r| r.split_once(':'))
-                .map(|(_, v)| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    let rustc = Command::new(std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into()))
-        .arg("-V")
-        .output()
-        .ok()
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    format!(
-        "cpu=\"{cpu}\" nproc={nproc} simd={:?} rustc=\"{rustc}\" profile={profile} \
-         daemon=\"ucfg {}\" cache=default UCFG_THREADS={threads}",
-        simd::backend(),
-        SERVE_ARGS.join(" ")
-    )
-}
-
 // ---------------------------------------------------------------------------
 // The closed loop
 // ---------------------------------------------------------------------------
 
-/// One op as executed.
-struct Executed {
+/// One op as executed: its requests' replies, and its start (relative to
+/// the phase start) and duration.
+pub struct Executed {
+    pub input: usize,
+    pub start: Duration,
+    pub dur: Duration,
+    pub replies: Vec<Reply>,
+}
+
+/// A traced op (no parent) or one of its requests (parent = the op).
+struct Span {
+    parent: Option<usize>,
+    name: &'static str,
     input: usize,
-    /// Start relative to the phase start.
     start: Duration,
-    dur: Duration,
-    reply: Reply,
+    end: Duration,
+}
+
+#[derive(Default)]
+struct Blocks {
+    ops: usize,
+    time: Duration,
+}
+
+impl Blocks {
+    fn rate(&self) -> f64 {
+        self.ops as f64 / self.time.as_secs_f64()
+    }
 }
 
 struct Phase {
     executed: Vec<Executed>,
     elapsed: Duration,
+    spans: Vec<Span>,
+    plain: Blocks,
+    traced: Blocks,
 }
 
 impl Phase {
     fn ops_per_s(&self) -> f64 {
         self.executed.len() as f64 / self.elapsed.as_secs_f64()
     }
+
+    /// Account a block of `ops` ops that ran from `start` to `end`;
+    /// returns `end`, where the next block starts.
+    fn close_block(
+        &mut self,
+        traced: bool,
+        ops: usize,
+        start: Duration,
+        end: Duration,
+    ) -> Duration {
+        let b = if traced {
+            &mut self.traced
+        } else {
+            &mut self.plain
+        };
+        b.ops += ops;
+        b.time += end - start;
+        end
+    }
+
+    /// The fastest of the phase's whole `WINDOW_SECS` windows, enough to
+    /// hold `BEST_OPS` ops and `1 / BEST_OF` of the windows: their ops per
+    /// second and their ops' sorted latencies (ms).
+    fn fastest_windows(&self) -> (f64, Vec<f64>) {
+        let n = ((self.elapsed.as_secs_f64() / WINDOW_SECS) as usize).max(1);
+        let mut windows: Vec<Vec<f64>> = vec![Vec::new(); n];
+        for e in &self.executed {
+            let k = ((e.start + e.dur).as_secs_f64() / WINDOW_SECS) as usize;
+            if let Some(w) = windows.get_mut(k) {
+                w.push(e.dur.as_secs_f64() * 1e3);
+            }
+        }
+        windows.sort_by_key(|w| std::cmp::Reverse(w.len()));
+        let mut lat = Vec::new();
+        let mut taken = 0;
+        for w in windows {
+            if lat.len() >= BEST_OPS && taken >= n.div_ceil(BEST_OF) {
+                break;
+            }
+            lat.extend(w);
+            taken += 1;
+        }
+        lat.sort_by(f64::total_cmp);
+        (lat.len() as f64 / (taken as f64 * WINDOW_SECS), lat)
+    }
 }
 
-/// Send ops back to back for `seconds`, walking the schedule from
-/// `*cursor` on, so a later phase continues where an earlier one stopped.
-fn closed_loop(
-    conn: &mut Conn,
-    wl: &Workload,
-    cursor: &mut usize,
-    seconds: f64,
-) -> Result<Phase, String> {
+/// Send ops back to back for `seconds`, walking the schedule from its
+/// start. With `trace`, every other block of `TRACE_BLOCK` ops records a
+/// span per op and per request.
+fn closed_loop(conn: &mut Conn, wl: &Workload, seconds: f64, trace: bool) -> Result<Phase, String> {
     let start = Instant::now();
     let until = Duration::from_secs_f64(seconds);
-    let mut executed = Vec::new();
+    let mut phase = Phase {
+        executed: Vec::new(),
+        elapsed: Duration::ZERO,
+        spans: Vec::new(),
+        plain: Blocks::default(),
+        traced: Blocks::default(),
+    };
+    let mut block_start = Duration::ZERO;
+    let mut cursor = 0;
     while start.elapsed() < until {
-        let input = wl.schedule[*cursor % wl.schedule.len()];
-        *cursor += 1;
+        let input = wl.schedule[cursor % wl.schedule.len()];
+        let traced = trace && (cursor / TRACE_BLOCK) % 2 == 1;
+        cursor += 1;
+        let requests = &wl.inputs[input].requests;
+        let mut replies = Vec::with_capacity(requests.len());
         let t0 = start.elapsed();
-        let reply = conn
-            .send(&wl.inputs[input].frame)
-            .map_err(|e| format!("/parse failed: {e}"))?;
+        let op_span = phase.spans.len();
+        if traced {
+            phase.spans.push(Span {
+                parent: None,
+                name: wl.name,
+                input,
+                start: t0,
+                end: t0,
+            });
+        }
+        for r in requests {
+            let rs = start.elapsed();
+            let reply = conn
+                .send(&r.frame)
+                .map_err(|e| format!("{} failed: {e}", r.path))?;
+            if traced {
+                phase.spans.push(Span {
+                    parent: Some(op_span),
+                    name: r.path,
+                    input,
+                    start: rs,
+                    end: start.elapsed(),
+                });
+            }
+            replies.push(reply);
+        }
         let dur = start.elapsed() - t0;
-        executed.push(Executed {
+        if traced {
+            phase.spans[op_span].end = t0 + dur;
+        }
+        phase.executed.push(Executed {
             input,
             start: t0,
             dur,
-            reply,
+            replies,
         });
+        if cursor % TRACE_BLOCK == 0 {
+            block_start = phase.close_block(traced, TRACE_BLOCK, block_start, start.elapsed());
+        }
     }
-    Ok(Phase {
-        executed,
-        elapsed: start.elapsed(),
-    })
+    phase.elapsed = start.elapsed();
+    if cursor % TRACE_BLOCK != 0 {
+        let traced = trace && (cursor / TRACE_BLOCK) % 2 == 1;
+        phase.close_block(traced, cursor % TRACE_BLOCK, block_start, phase.elapsed);
+    }
+    Ok(phase)
 }
 
-/// Spawn a daemon and send the set-up requests; returns the daemon, its
+/// Spawn a daemon and send the set-up traffic; returns the daemon, its
 /// connection and the seconds from spawn to ready-for-the-first-timed-op.
-fn set_up(env: &Env, wl: &Workload, trace: bool) -> Result<(Daemon, Conn, f64), String> {
+fn set_up(env: &Env, wl: &Workload) -> Result<(Daemon, Conn, f64), String> {
     let t0 = Instant::now();
-    let daemon = Daemon::spawn(env, trace)?;
+    let daemon = Daemon::spawn(env)?;
     let mut conn =
         Conn::connect(&daemon.addr).map_err(|e| format!("connect {}: {e}", daemon.addr))?;
-    for &i in &wl.prime {
-        let r = conn
-            .send(&wl.inputs[i].frame)
-            .map_err(|e| format!("set-up: {e}"))?;
-        if r.status != 200 {
+    for r in &wl.setup {
+        let reply = conn
+            .send(&r.frame)
+            .map_err(|e| format!("set-up {}: {e}", r.path))?;
+        if reply.status != 200 {
             return Err(format!(
-                "set-up answered {}: {}",
-                r.status,
-                r.body.trim_end()
+                "set-up {} answered {}: {}",
+                r.path,
+                reply.status,
+                reply.body.trim_end()
             ));
         }
     }
     Ok((daemon, conn, t0.elapsed().as_secs_f64()))
-}
-
-// ---------------------------------------------------------------------------
-// The answer oracle
-// ---------------------------------------------------------------------------
-
-/// Checks every reply against an independent in-process computation:
-/// Earley membership on the original grammar (plus the closed form of
-/// `L_n` for `appendix-a`) and the CNF tree count from the
-/// `CykChart::build_scalar` reference fill.
-struct Oracle {
-    cnf: HashMap<usize, CnfGrammar>,
-    memo: HashMap<usize, (bool, String)>,
-}
-
-impl Oracle {
-    fn new() -> Oracle {
-        Oracle {
-            cnf: HashMap::new(),
-            memo: HashMap::new(),
-        }
-    }
-
-    fn expect(&mut self, wl: &Workload, i: usize) -> (bool, String) {
-        if let Some(e) = self.memo.get(&i) {
-            return e.clone();
-        }
-        let input = &wl.inputs[i];
-        let g = &wl.grammars[input.grammar];
-        let mut member = Earley::new(g).recognize_str(&input.word);
-        if input.grammar < WARM_APPENDIX_N.len() && wl.name == "parse_warm" {
-            let n = WARM_APPENDIX_N[input.grammar];
-            let b = input.word.as_bytes();
-            let closed = b.len() == 2 * n && (0..n).any(|k| b[k] == b'a' && b[k + n] == b'a');
-            // Disagreeing references can never match the reply.
-            member &= closed;
-            if closed != Earley::new(g).recognize_str(&input.word) {
-                return (true, "oracle disagreement".into());
-            }
-        }
-        let cnf = self
-            .cnf
-            .entry(input.grammar)
-            .or_insert_with(|| CnfGrammar::from_grammar(g));
-        let count = match cnf.encode(&input.word) {
-            Some(w) => CykChart::build_scalar(cnf, &w).count_trees().to_string(),
-            None => "0".into(),
-        };
-        self.memo.insert(i, (member, count.clone()));
-        (member, count)
-    }
-
-    /// Ops whose reply is not a 200 with the expected membership and count.
-    fn failures<'a>(
-        &mut self,
-        wl: &Workload,
-        ops: impl IntoIterator<Item = &'a Executed>,
-    ) -> usize {
-        let mut failed = 0;
-        for e in ops {
-            let (member, count) = self.expect(wl, e.input);
-            let v = Json::parse(e.reply.body.trim_end()).ok();
-            let ok = e.reply.status == 200
-                && v.as_ref()
-                    .and_then(|v| v.get("member"))
-                    .and_then(Json::as_bool)
-                    == Some(member)
-                && v.as_ref()
-                    .and_then(|v| v.get("parse_count"))
-                    .and_then(Json::as_str)
-                    == Some(count.as_str());
-            if !ok {
-                if failed < 3 {
-                    eprintln!(
-                        "wrong reply to input {}: expected member={member} count={count}, got {} {}",
-                        e.input,
-                        e.reply.status,
-                        e.reply.body.trim_end()
-                    );
-                }
-                failed += 1;
-            }
-        }
-        failed
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -797,9 +322,9 @@ fn run(o: &Opts) -> Result<(), String> {
         u8::from(o.trace)
     );
     println!(
-        "inputs: {} pooled requests, {} set-up, schedule of {}, digest {:016x}",
+        "inputs: {} pooled ops, {} set-up requests, schedule of {} ops, digest {:016x}",
         wl.inputs.len(),
-        wl.prime.len(),
+        wl.setup.len(),
         wl.schedule.len(),
         wl.digest()
     );
@@ -814,29 +339,35 @@ fn run(o: &Opts) -> Result<(), String> {
 fn timed(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
     let mut setups = Vec::with_capacity(SETUPS);
     let (daemon, mut conn) = loop {
-        let (daemon, mut conn, secs) = set_up(env, wl, false)?;
+        let (daemon, mut conn, secs) = set_up(env, wl)?;
         setups.push(secs);
         if setups.len() == SETUPS {
             break (daemon, conn);
         }
         daemon.shutdown(&mut conn)?;
     };
-    let phase = closed_loop(&mut conn, wl, &mut 0, o.seconds)?;
+    let phase = closed_loop(&mut conn, wl, o.seconds, false)?;
     let peak_rss_mb = daemon.peak_rss_mb()?;
     daemon.shutdown(&mut conn)?;
-    let failed = Oracle::new().failures(wl, &phase.executed);
+    let failed = Oracle::new(wl)?.failures(&phase.executed);
 
-    let mut lat: Vec<f64> = phase
-        .executed
-        .iter()
-        .map(|e| e.dur.as_secs_f64() * 1e3)
-        .collect();
-    lat.sort_by(f64::total_cmp);
     println!("set-up seconds per daemon: {setups:?}");
     steadiness(&phase);
+    let (rate, lat) = phase.fastest_windows();
+    println!(
+        "whole phase: {:.1} ops/s; fastest {WINDOW_SECS} s windows: {rate:.1} ops/s over {} ops",
+        phase.ops_per_s(),
+        lat.len()
+    );
+    if lat.len() < 1000 {
+        println!(
+            "warning: only {} ops in the fastest windows, so p99 rests on fewer than 10 samples",
+            lat.len()
+        );
+    }
     let metrics = [
         ("setup_s", median(&setups), "s"),
-        ("ops_per_s", phase.ops_per_s(), "1/s"),
+        ("ops_per_s", rate, "1/s"),
         ("p50_ms", percentile(&lat, 50.0), "ms"),
         ("p99_ms", percentile(&lat, 99.0), "ms"),
         ("peak_rss_mb", peak_rss_mb, "MB"),
@@ -845,7 +376,7 @@ fn timed(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
     Ok(())
 }
 
-/// The in-run steadiness check: `ops_per_s` in each half of the measured
+/// The in-run steadiness check: `ops_per_s` in each half of a measured
 /// phase, flagged when they differ by more than `DRIFT_LIMIT`.
 fn steadiness(phase: &Phase) {
     let half = phase.elapsed / 2;
@@ -863,15 +394,9 @@ fn steadiness(phase: &Phase) {
         "steady"
     };
     println!(
-        "steadiness: first half {r1:.1} ops/s, second half {r2:.1} ops/s ({:+.1}%) {verdict}",
+        "  steadiness: first half {r1:.1} ops/s, second half {r2:.1} ops/s ({:+.1}%) {verdict}",
         drift * 100.0
     );
-    if phase.executed.len() < 1000 {
-        println!(
-            "warning: only {} ops, so p99 rests on fewer than 10 samples",
-            phase.executed.len()
-        );
-    }
 }
 
 /// Print the metrics as a table, then the result line.
@@ -894,129 +419,11 @@ fn report(attempted: usize, failed: usize, metrics: &[(&str, f64, &str)]) {
     );
 }
 
-// ---------------------------------------------------------------------------
-// The traced run
-// ---------------------------------------------------------------------------
-
-/// A `/metrics` + `/healthz` snapshot of the daemon's own counters.
-struct Snapshot {
-    metrics: Json,
-    flush_writes: f64,
-}
-
-impl Snapshot {
-    fn take(conn: &mut Conn) -> Result<Snapshot, String> {
-        let health = conn.get_json("/healthz")?;
-        let metrics = conn.get_json("/metrics")?;
-        let flush_writes = health
-            .get("flush_writes")
-            .and_then(Json::as_i64)
-            .ok_or("healthz lacks flush_writes")? as f64;
-        Ok(Snapshot {
-            metrics,
-            flush_writes,
-        })
-    }
-
-    fn counter(&self, name: &str) -> f64 {
-        let find = |s: Option<&Json>| s.and_then(|s| s.get(name)).and_then(Json::as_i64);
-        find(self.metrics.get("counters"))
-            .or_else(|| find(self.metrics.get("volatile").and_then(|v| v.get("counters"))))
-            .unwrap_or(0) as f64
-    }
-
-    /// (count, total) of a volatile histogram.
-    fn histogram(&self, name: &str) -> (f64, f64) {
-        let h = self
-            .metrics
-            .get("volatile")
-            .and_then(|v| v.get("timings"))
-            .and_then(|t| t.get(name));
-        let f = |k: &str| h.and_then(|h| h.get(k)).and_then(Json::as_i64).unwrap_or(0) as f64;
-        (f("count"), f("total_ns"))
-    }
-}
-
-/// Replayed self time per layer, summed over the traced ops, in µs.
-#[derive(Default)]
-struct Sums {
-    http: f64,
-    json: f64,
-    protocol: f64,
-    text: f64,
-    compile: f64,
-    cnf: f64,
-    cyk_index: f64,
-    nullable: f64,
-    cyk: f64,
-    count: f64,
-}
-
-fn timed_us<T>(acc: &mut f64, f: impl FnOnce() -> T) -> T {
-    let t = Instant::now();
-    let v = black_box(f());
-    *acc += t.elapsed().as_secs_f64() * 1e6;
-    v
-}
-
-/// Replay each traced op's inputs in-process through the public functions
-/// the daemon calls, timing each call. Compiles replay only where the
-/// daemon's reply says the cache missed.
-fn replay(wl: &Workload, ops: &[Executed]) -> Result<Sums, String> {
-    let mut s = Sums::default();
-    let mut compiled: HashMap<u64, Arc<GrammarArtifact>> = HashMap::new();
-    for e in ops {
-        let input = &wl.inputs[e.input];
-        timed_us(&mut s.http, || {
-            let mut asm = Assembler::new(Limits::default());
-            asm.push(&input.frame);
-            let req = asm.next().ok();
-            (
-                req,
-                render_response(e.reply.status, e.reply.body.as_bytes(), false),
-            )
-        });
-        let body = timed_us(&mut s.json, || Json::parse(&input.body)).map_err(|e| e.to_string())?;
-        let preq = timed_us(&mut s.protocol, || ParseRequest::from_json(&body))
-            .map_err(|e| e.message())?;
-        let (g, key) = timed_us(&mut s.text, || {
-            preq.spec.build().map(|g| {
-                let key = g.content_hash();
-                (g, key)
-            })
-        })
-        .map_err(|e| e.message())?;
-        let art = if e.reply.body.contains("\"cache\":\"miss\"") {
-            timed_us(&mut s.nullable, || nullable(&g));
-            let cnf = timed_us(&mut s.cnf, || CnfGrammar::from_grammar(&g));
-            timed_us(&mut s.cyk_index, || CykRuleIndex::new(&cnf));
-            timed_us(&mut s.compile, || GrammarArtifact::compile(g.clone()))
-        } else {
-            Arc::clone(
-                compiled
-                    .entry(key)
-                    .or_insert_with(|| GrammarArtifact::compile(g.clone())),
-            )
-        };
-        {
-            let chart = timed_us(&mut s.cyk, || {
-                art.cnf
-                    .encode(&preq.word)
-                    .map(|w| CykChart::build_with_index(&art.cnf, &art.index, &w))
-            });
-            if let Some(chart) = chart {
-                timed_us(&mut s.count, || chart.count_trees());
-            }
-        }
-        compiled.insert(key, art);
-    }
-    Ok(s)
-}
-
+/// One daemon: probe the `/healthz` round trip (the wire floor), snapshot
+/// its counters, run the closed loop with traced blocks, snapshot again,
+/// then replay every op in-process for per-layer self times.
 fn traced(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
-    let (daemon, mut conn, _) = set_up(env, wl, true)?;
-    let mut cursor = 0;
-    let plain = closed_loop(&mut conn, wl, &mut cursor, o.seconds / 2.0)?;
+    let (daemon, mut conn, _) = set_up(env, wl)?;
     let healthz = frame("GET", "/healthz", "");
     let mut floor: Vec<f64> = Vec::with_capacity(FLOOR_PROBES);
     for _ in 0..FLOOR_PROBES {
@@ -1025,20 +432,21 @@ fn traced(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
         floor.push(t.elapsed().as_secs_f64() * 1e6);
     }
     let before = Snapshot::take(&mut conn)?;
-    let traced = closed_loop(&mut conn, wl, &mut cursor, o.seconds / 2.0)?;
+    let phase = closed_loop(&mut conn, wl, o.seconds, true)?;
     let after = Snapshot::take(&mut conn)?;
     daemon.shutdown(&mut conn)?;
-    let failed = Oracle::new().failures(wl, plain.executed.iter().chain(&traced.executed));
+    let failed = Oracle::new(wl)?.failures(&phase.executed);
 
-    // Spans: one per op (a `/parse` request has no children here), kept in
-    // memory during the run and written out now.
+    // Spans were kept in memory during the run; write them out now.
     let mut spans = String::new();
-    for (id, e) in traced.executed.iter().enumerate() {
+    for (id, s) in phase.spans.iter().enumerate() {
         spans.push_str(&format!(
-            "{{\"id\":{id},\"parent\":null,\"name\":\"/parse\",\"input\":{},\"start_us\":{:.3},\"end_us\":{:.3}}}\n",
-            e.input,
-            e.start.as_secs_f64() * 1e6,
-            (e.start + e.dur).as_secs_f64() * 1e6
+            "{{\"id\":{id},\"parent\":{},\"name\":\"{}\",\"input\":{},\"start_us\":{:.3},\"end_us\":{:.3}}}\n",
+            s.parent.map_or("null".to_string(), |p| p.to_string()),
+            s.name,
+            s.input,
+            s.start.as_secs_f64() * 1e6,
+            s.end.as_secs_f64() * 1e6
         ));
     }
     let spans_path = env
@@ -1048,7 +456,7 @@ fn traced(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
 
     // The daemon always runs with obs on; replay the same kernel paths.
     obs::set_enabled(true);
-    let s = replay(wl, &traced.executed)?;
+    let s = replay(wl, &phase.executed, env.threads)?;
     let spawn: Vec<f64> = (0..SPAWN_PROBES)
         .map(|_| {
             let t = Instant::now();
@@ -1057,24 +465,28 @@ fn traced(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
         })
         .collect();
 
-    let ops = traced.executed.len() as f64;
+    let ops = phase.executed.len() as f64;
     let d = |name: &str| after.counter(name) - before.counter(name);
     let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
     let share = |hit: &str, miss: &str| ratio(d(hit), d(hit) + d(miss));
     let (c0, t0) = before.histogram("serve.batch.size");
     let (c1, t1) = after.histogram("serve.batch.size");
-    let op_us = traced
+    let op_us = phase
         .executed
         .iter()
         .map(|e| e.dur.as_secs_f64() * 1e6)
         .sum::<f64>()
         / ops;
     let floor_us = median(&floor);
-    // The compile split (cnf, cyk_index, nullable) lies inside `compile`.
-    let replayed = s.http + s.json + s.protocol + s.text + s.compile + s.cyk + s.count;
-    let plain_rate = plain.ops_per_s();
     // The first snapshot's two replies are written inside the window.
     let flush_writes = after.flush_writes - before.flush_writes - 2.0;
+    let (plain_rate, traced_rate) = (phase.plain.rate(), phase.traced.rate());
+    println!(
+        "trace: {} untraced ops at {plain_rate:.1} ops/s, {} traced ops at {traced_rate:.1} ops/s, {} spans",
+        phase.plain.ops,
+        phase.traced.ops,
+        phase.spans.len()
+    );
     let metrics = [
         ("grammar.cyk.us", s.cyk / ops, "us"),
         ("grammar.count.us", s.count / ops, "us"),
@@ -1103,11 +515,39 @@ fn traced(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
             d("serve.cache.evictions") / ops,
             "count",
         ),
+        (
+            "stream.window.us_per_token",
+            ratio(s.window, s.tokens),
+            "us",
+        ),
+        (
+            "stream.product.us_per_token",
+            ratio(s.product, s.tokens),
+            "us",
+        ),
+        ("stream.query.us", s.query / ops, "us"),
+        (
+            "stream.cells_reused_per_token",
+            ratio(d("stream.chart_cells_reused"), d("stream.tokens")),
+            "count",
+        ),
+        ("core.cover.us", s.cover / ops, "us"),
+        ("core.discrepancy.us", s.discrepancy / ops, "us"),
+        (
+            "core.wordset.cache_hit_ratio",
+            share("wordset.cache.hits", "wordset.cache.misses"),
+            "ratio",
+        ),
+        ("core.rects.build_us", s.rects_build, "us"),
         ("serve.http.us", s.http / ops, "us"),
         ("serve.json.us", s.json / ops, "us"),
         ("serve.protocol.us", s.protocol / ops, "us"),
         ("serve.wire_floor_us", floor_us, "us"),
-        ("serve.residual_us", op_us - floor_us - replayed / ops, "us"),
+        (
+            "serve.residual_us",
+            op_us - floor_us * wl.requests_per_op() - s.on_path() / ops,
+            "us",
+        ),
         ("serve.batch.size_mean", ratio(t1 - t0, c1 - c0), "count"),
         ("serve.flush_writes_per_op", flush_writes / ops, "count"),
         ("support.par.spawn_us", median(&spawn), "us"),
@@ -1129,15 +569,11 @@ fn traced(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
         ("trace.op_us", op_us, "us"),
         (
             "trace.overhead_pct",
-            (plain_rate - traced.ops_per_s()) / plain_rate * 100.0,
+            (plain_rate - traced_rate) / plain_rate * 100.0,
             "%",
         ),
     ];
-    report(
-        plain.executed.len() + traced.executed.len(),
-        failed,
-        &metrics,
-    );
+    report(phase.executed.len(), failed, &metrics);
     Ok(())
 }
 
@@ -1147,6 +583,9 @@ fn traced(o: &Opts, env: &Env, wl: &Workload) -> Result<(), String> {
 
 /// Nearest-rank percentile of sorted values.
 fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
@@ -1183,7 +622,7 @@ fn spread(args: &[String]) -> Result<(), String> {
     let (mut workload, mut seeds, mut seconds, mut trace) = (
         String::new(),
         (1u64, 10u64),
-        "5".to_string(),
+        "12".to_string(),
         "0".to_string(),
     );
     let mut it = args.iter();
