@@ -14,7 +14,8 @@
 //! own `--list`) is passed through to `ucfg_support::bench::Options`, so
 //! `bench --all --smoke` is the whole CI bench-smoke matrix in one
 //! process and `bench parsing --list` enumerates one suite's benchmark
-//! ids.
+//! ids. Arguments the harness rejects (say `--smok`) exit with status 2
+//! before any suite runs.
 
 use ucfg_bench::suites;
 use ucfg_support::bench::Options;
@@ -57,11 +58,14 @@ fn main() {
         );
         std::process::exit(2);
     }
+    let opts = Options::parse(harness_args.into_iter()).unwrap_or_else(|e| {
+        eprintln!("bench: {e}");
+        std::process::exit(2);
+    });
     let mut empty_suites: Vec<&str> = Vec::new();
     for name in selected {
         println!("=== suite {name} ===");
-        let opts = Options::parse(harness_args.iter().cloned());
-        let suite = suites::build(name, opts).expect("selected from ALL_SUITES");
+        let suite = suites::build(name, opts.clone()).expect("selected from ALL_SUITES");
         // A run (not a `--list`) that records nothing measured nothing —
         // typically a filter that matches no benchmark id. CI treats a
         // silently-empty suite as a failure, so flag it here.

@@ -1,15 +1,14 @@
 //! The bench-suite registry: every suite as an in-process library
-//! function, plus the single list of suite names that the bench targets,
-//! the unified `bench` binary, the orchestrator, and CI all share.
+//! function, plus the single list of suite names that the `bench`
+//! binary, the orchestrator, and CI all share.
 //!
 //! Each suite module exposes `build(opts) -> Suite`: it constructs the
 //! suite, executes every registered benchmark under the given options
 //! (timed, `--smoke`, or `--list`), and returns the suite with its
 //! records so the caller can write `out/BENCH_<suite>.json` via
-//! [`Suite::finish`] or read the JSON lines directly. The bench targets
-//! under `benches/` are thin wrappers over [`harness_main`], so the
-//! suite bodies live in exactly one place and `cargo bench` and
-//! `ucfg orchestrate` cannot drift apart.
+//! [`Suite::finish`] or read the JSON lines directly. `bench <suite>`
+//! and `ucfg orchestrate` both call [`build`], so the suite bodies live
+//! in exactly one place and the two cannot drift apart.
 
 use ucfg_support::bench::{Options, Suite};
 
@@ -57,16 +56,6 @@ pub fn build(name: &str, opts: Options) -> Option<Suite> {
     })
 }
 
-/// The `main` shared by the thin `benches/*.rs` wrappers: parse harness
-/// options from the process arguments, run the named suite, and write
-/// its `BENCH_<suite>.json`.
-pub fn harness_main(name: &str) {
-    let opts = Options::parse(std::env::args().skip(1));
-    let suite = build(name, opts)
-        .unwrap_or_else(|| panic!("unknown bench suite {name:?} (known: {ALL_SUITES:?})"));
-    suite.finish();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,7 +67,7 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), ALL_SUITES.len(), "duplicate suite name");
         for name in ALL_SUITES {
-            let opts = Options::parse(["--list".to_string()].into_iter());
+            let opts = Options::parse(["--list".to_string()].into_iter()).unwrap();
             let suite = build(name, opts).expect("registered suite builds");
             assert!(
                 !suite.listed_ids().is_empty(),

@@ -9,10 +9,16 @@
 //! the CNF conversion. Any divergence is a real bug in one of the
 //! kernels, which is exactly what the serve daemon's `"check": true`
 //! cross-check relies on.
+//!
+//! The incremental Earley chart (the one engine behind both batch
+//! recognition and the stream crate's windows) is pinned the same way:
+//! a chart grown by appends agrees with CYK at every prefix and equals
+//! a fresh chart of the same tokens, and any append/truncate script
+//! lands on the chart a replay of the surviving tokens builds.
 
 use ucfg_grammar::count::TreeCounter;
 use ucfg_grammar::cyk::CykChart;
-use ucfg_grammar::earley::Earley;
+use ucfg_grammar::earley::{Chart, Earley};
 use ucfg_grammar::language::language_up_to;
 use ucfg_grammar::{BigUint, CnfGrammar, Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
 use ucfg_support::prop::Gen;
@@ -77,6 +83,38 @@ fn rand_general(g: &mut Gen) -> Grammar {
         b.raw_rule(lhs, rhs);
     }
     b.build(ids[0])
+}
+
+/// A random token stream over {a, b}, length 0..=12.
+fn rand_stream(g: &mut Gen) -> Vec<Terminal> {
+    g.vec_of(0..13, |g| Terminal(g.rng().random_range(0..2u16)))
+}
+
+/// One step of a random chart edit script.
+#[derive(Debug, Clone)]
+enum Edit {
+    Append(Terminal),
+    /// Interpreted modulo the current length plus one at replay time.
+    TruncateTo(u64),
+}
+
+fn rand_edits(g: &mut Gen) -> Vec<Edit> {
+    g.vec_of(1..16, |g| {
+        if g.rng().random_range(0..4u32) == 0 {
+            Edit::TruncateTo(g.rng().random_range(0..16u64))
+        } else {
+            Edit::Append(Terminal(g.rng().random_range(0..2u16)))
+        }
+    })
+}
+
+/// A fresh chart over `tokens`.
+fn chart_of<'g>(g: &'g Grammar, tokens: &[Terminal]) -> Chart<&'g Grammar> {
+    let mut chart = Chart::new(g, false);
+    for &t in tokens {
+        chart.append(t);
+    }
+    chart
 }
 
 property! {
@@ -189,6 +227,61 @@ property! {
                 prop_assert!(Earley::new(&g).recognize(&word));
             }
         }
+    }
+}
+
+property! {
+    cases = 96;
+    /// A chart kept across k appends accepts exactly the prefixes scalar
+    /// CYK accepts on the CNF, and is the chart a fresh parse of the
+    /// same k tokens builds: same items at every position, same cells.
+    fn chart_appends_equal_full_reparse(
+        g in rand_general,
+        stream in rand_stream,
+    ) {
+        let cnf = CnfGrammar::from_grammar(&g);
+        let mut chart = Chart::new(&g, false);
+        for (i, &t) in stream.iter().enumerate() {
+            chart.append(t);
+            prop_assert_eq!(
+                chart.suffix_complete(0),
+                CykChart::build_scalar(&cnf, &stream[..=i]).accepted(),
+                "prefix of length {}",
+                i + 1
+            );
+            let fresh = chart_of(&g, &stream[..=i]);
+            prop_assert_eq!(chart.fingerprint(), fresh.fingerprint());
+            prop_assert_eq!(chart.cells(), fresh.cells());
+        }
+    }
+
+    cases = 96;
+    /// Any append/truncate script is equivalent to a fresh parse of the
+    /// surviving tokens, and truncating to 0 restores the initial chart.
+    fn chart_edit_scripts_equal_replay(
+        g in rand_general,
+        edits in rand_edits,
+    ) {
+        let mut chart = Chart::new(&g, false);
+        let initial = chart.fingerprint();
+        let mut shadow: Vec<Terminal> = Vec::new();
+        for e in &edits {
+            match e {
+                Edit::Append(t) => {
+                    chart.append(*t);
+                    shadow.push(*t);
+                }
+                Edit::TruncateTo(raw) => {
+                    let to = raw % (shadow.len() as u64 + 1);
+                    chart.truncate(to);
+                    shadow.truncate(to as usize);
+                }
+            }
+            prop_assert_eq!(chart.fingerprint(), chart_of(&g, &shadow).fingerprint(), "after {:?}", e);
+        }
+        chart.truncate(0);
+        prop_assert_eq!(chart.fingerprint(), initial);
+        prop_assert_eq!(chart.total(), 0);
     }
 }
 

@@ -80,23 +80,17 @@ impl Client {
     }
 
     /// Send one request and read its response. `body = None` sends a
-    /// bodyless request (GET-style).
+    /// bodyless request (GET-style). The request goes out in one write:
+    /// the stream is unbuffered with `TCP_NODELAY`, so each write can
+    /// leave as its own segment.
     pub fn request(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> io::Result<Response> {
-        let payload = body.unwrap_or("");
-        write!(
-            self.writer,
-            "{} {} HTTP/1.1\r\nHost: ucfg-serve\r\nContent-Length: {}\r\n\r\n",
-            method,
-            path,
-            payload.len()
-        )?;
-        self.writer.write_all(payload.as_bytes())?;
-        self.writer.flush()?;
+        self.writer
+            .write_all(&frame_request(method, path, body.unwrap_or("")))?;
         self.read_response()
     }
 
@@ -160,11 +154,41 @@ impl Client {
     }
 }
 
+/// The wire bytes of one request: head and body in one buffer.
+fn frame_request(method: &str, path: &str, body: &str) -> Vec<u8> {
+    let mut frame = format!(
+        "{method} {path} HTTP/1.1\r\nHost: ucfg-serve\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    frame.extend_from_slice(body.as_bytes());
+    frame
+}
+
 // The client is exercised end-to-end against a real server in
 // `tests/serve_e2e.rs`; pure parsing paths are covered there too.
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn request_frame_is_exact_and_parses_back() {
+        let frame = frame_request("POST", "/parse", "{\"word\":\"ab\"}");
+        assert_eq!(
+            frame,
+            b"POST /parse HTTP/1.1\r\nHost: ucfg-serve\r\nContent-Length: 13\r\n\r\n{\"word\":\"ab\"}"
+        );
+        assert_eq!(
+            frame_request("GET", "/healthz", ""),
+            b"GET /healthz HTTP/1.1\r\nHost: ucfg-serve\r\nContent-Length: 0\r\n\r\n"
+        );
+        let mut asm = crate::http::Assembler::new(crate::http::Limits::default());
+        asm.push(&frame);
+        let req = asm.next().unwrap().expect("one complete request");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/parse"));
+        assert_eq!(req.body_str(), Some("{\"word\":\"ab\"}"));
+        assert!(asm.is_idle());
+    }
 
     #[test]
     fn connect_retry_gives_up_with_the_underlying_error() {

@@ -1,4 +1,4 @@
-//! A minimal HTTP/1.1 reader/writer over any `Read`/`Write` pair.
+//! A minimal HTTP/1.1 request assembler and response writer.
 //!
 //! Just enough of RFC 9112 for the JSON-lines protocol: request line,
 //! headers, `Content-Length` bodies, keep-alive. No chunked transfer
@@ -7,12 +7,11 @@
 //! The core is the push-based [`Assembler`]: bytes go in via
 //! [`Assembler::push`] in whatever fragments the transport delivers
 //! (one epoll readiness burst, one `read` syscall, one byte), and
-//! complete requests come out of [`Assembler::next`]. The blocking
-//! [`read_request`] helper wraps an `Assembler` over a [`BufRead`] so
-//! the synchronous client-side tests and the nonblocking server share
-//! one parser.
+//! complete requests come out of [`Assembler::next`]. The event loop
+//! and the tests drive the same `Assembler`; responses are framed by
+//! [`render_response`].
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Default largest accepted request body (4 MiB). Grammars are text,
 /// so this is already generous, and the bound keeps a hostile
@@ -390,80 +389,17 @@ fn body_len(headers: &[(String, String)], limits: &Limits) -> Result<usize, Wire
             "duplicate content-length headers".into(),
         ));
     }
+    // RFC 9112 §6.3 allows digits only; `str::parse` alone would also
+    // take a leading `+`, which another parser on the path may reject.
+    let digits = first.bytes().all(|b| b.is_ascii_digit());
     match first.parse::<usize>() {
-        Ok(n) if n <= limits.max_body_bytes => Ok(n),
-        Ok(_) => Err(WireError::TooLarge {
+        Ok(n) if digits && n <= limits.max_body_bytes => Ok(n),
+        Ok(_) if digits => Err(WireError::TooLarge {
             limit: limits.max_body_bytes,
         }),
-        Err(_) => Err(WireError::Malformed(format!(
+        _ => Err(WireError::Malformed(format!(
             "bad content-length {first:?}"
         ))),
-    }
-}
-
-/// Outcome of one read attempt on a keep-alive connection.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    /// A complete request was read.
-    Request(Request),
-    /// The peer closed the connection cleanly between requests.
-    Eof,
-    /// The read timed out before *any* byte arrived — the connection is
-    /// idle, not broken; the caller decides whether to keep waiting
-    /// (e.g. until shutdown is signalled).
-    Idle,
-    /// The peer sent something that is not HTTP or exceeded a
-    /// structural bound; the caller should answer 400 and close.
-    Malformed(String),
-    /// The declared body exceeds the configured cap; answer 413.
-    TooLarge {
-        /// The configured `max_body_bytes` the request exceeded.
-        limit: usize,
-    },
-}
-
-/// Read one request with default [`Limits`]. Timeouts that strike
-/// *before* the first byte surface as [`ReadOutcome::Idle`];
-/// mid-request timeouts and any other I/O error propagate as `Err`
-/// (the connection is unusable).
-pub fn read_request(reader: &mut impl BufRead) -> io::Result<ReadOutcome> {
-    // Peek for the first byte so an idle keep-alive connection can be
-    // distinguished from a broken one.
-    match reader.fill_buf() {
-        Ok([]) => return Ok(ReadOutcome::Eof),
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            return Ok(ReadOutcome::Idle)
-        }
-        Err(e) => return Err(e),
-    }
-
-    // Feed the assembler one byte at a time so a pipelined second
-    // request stays in the BufRead for the next call — the assembler
-    // never sees (and so never buffers) bytes past the request it
-    // returns.
-    let mut asm = Assembler::new(Limits::default());
-    loop {
-        match asm.next() {
-            Ok(Some(req)) => return Ok(ReadOutcome::Request(req)),
-            Ok(None) => {}
-            Err(WireError::Malformed(m)) => return Ok(ReadOutcome::Malformed(m)),
-            Err(WireError::TooLarge { limit }) => return Ok(ReadOutcome::TooLarge { limit }),
-        }
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte)? {
-            0 => {
-                return if asm.is_idle() {
-                    Ok(ReadOutcome::Eof)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof mid-request",
-                    ))
-                }
-            }
-            _ => asm.push(&byte),
-        }
     }
 }
 
@@ -510,61 +446,47 @@ pub fn write_response(w: &mut impl Write, status: u16, body: &[u8], close: bool)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(bytes: &[u8]) -> ReadOutcome {
-        read_request(&mut BufReader::new(bytes)).unwrap()
+    /// One pull from a fresh assembler fed `bytes` in a single push.
+    fn parse(bytes: &[u8]) -> Result<Option<Request>, WireError> {
+        let mut asm = Assembler::new(Limits::default());
+        asm.push(bytes);
+        asm.next()
     }
 
     #[test]
     fn parses_post_with_body() {
         let raw = b"POST /parse HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world";
-        match parse(raw) {
-            ReadOutcome::Request(r) => {
-                assert_eq!(r.method, "POST");
-                assert_eq!(r.path, "/parse");
-                assert_eq!(r.header("host"), Some("x"));
-                assert_eq!(r.body_str(), Some("hello world"));
-                assert!(!r.wants_close());
-            }
-            other => panic!("{other:?}"),
-        }
+        let r = parse(raw).unwrap().expect("complete request");
+        assert_eq!(r.method, "POST");
+        assert_eq!(r.path, "/parse");
+        assert_eq!(r.header("host"), Some("x"));
+        assert_eq!(r.body_str(), Some("hello world"));
+        assert!(!r.wants_close());
     }
 
     #[test]
     fn parses_get_without_body_and_bare_lf() {
-        match parse(b"GET /healthz HTTP/1.1\nConnection: Close\n\n") {
-            ReadOutcome::Request(r) => {
-                assert_eq!(r.method, "GET");
-                assert!(r.body.is_empty());
-                assert!(r.wants_close());
-            }
-            other => panic!("{other:?}"),
-        }
+        let r = parse(b"GET /healthz HTTP/1.1\nConnection: Close\n\n")
+            .unwrap()
+            .expect("complete request");
+        assert_eq!(r.method, "GET");
+        assert!(r.body.is_empty());
+        assert!(r.wants_close());
     }
 
     #[test]
     fn http10_defaults_to_close_unless_keep_alive() {
-        match parse(b"GET /healthz HTTP/1.0\r\n\r\n") {
-            ReadOutcome::Request(r) => {
-                assert!(r.http10);
-                assert!(r.wants_close(), "bare HTTP/1.0 closes by default");
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n") {
-            ReadOutcome::Request(r) => {
-                assert!(!r.wants_close(), "explicit keep-alive wins");
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(b"GET /healthz HTTP/1.1\r\n\r\n") {
-            ReadOutcome::Request(r) => {
-                assert!(!r.http10);
-                assert!(!r.wants_close(), "HTTP/1.1 keeps alive by default");
-            }
-            other => panic!("{other:?}"),
-        }
+        let r = parse(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap().unwrap();
+        assert!(r.http10);
+        assert!(r.wants_close(), "bare HTTP/1.0 closes by default");
+        let r = parse(b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert!(!r.wants_close(), "explicit keep-alive wins");
+        let r = parse(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        assert!(!r.http10);
+        assert!(!r.wants_close(), "HTTP/1.1 keeps alive by default");
     }
 
     #[test]
@@ -574,19 +496,13 @@ mod tests {
             &b"GET /metrics HTTP/1.1\r\n\r\n"[..],
         ]
         .concat();
-        let mut reader = BufReader::new(&raw[..]);
-        match read_request(&mut reader).unwrap() {
-            ReadOutcome::Request(r) => assert_eq!(r.body_str(), Some("ab")),
-            other => panic!("{other:?}"),
-        }
-        match read_request(&mut reader).unwrap() {
-            ReadOutcome::Request(r) => assert_eq!(r.path, "/metrics"),
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(
-            read_request(&mut reader).unwrap(),
-            ReadOutcome::Eof
-        ));
+        let mut asm = Assembler::new(Limits::default());
+        asm.push(&raw);
+        assert_eq!(asm.next().unwrap().unwrap().body_str(), Some("ab"));
+        assert_eq!(asm.next().unwrap().unwrap().path, "/metrics");
+        // A peer closing here closes cleanly, between requests.
+        assert!(asm.next().unwrap().is_none());
+        assert!(asm.is_idle());
     }
 
     #[test]
@@ -597,13 +513,16 @@ mod tests {
             &b"GET noslash HTTP/1.1\r\n\r\n"[..],
             &b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..],
+            &b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nab"[..],
             &b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"[..],
         ] {
+            let outcome = parse(raw);
             assert!(
-                matches!(parse(raw), ReadOutcome::Malformed(_)),
-                "{:?}",
+                matches!(outcome, Err(WireError::Malformed(_))),
+                "{:?}: {outcome:?}",
                 String::from_utf8_lossy(raw)
             );
+            assert_eq!(outcome.unwrap_err().status(), 400);
         }
     }
 
@@ -615,17 +534,15 @@ mod tests {
         );
         assert!(matches!(
             parse(raw.as_bytes()),
-            ReadOutcome::TooLarge {
+            Err(WireError::TooLarge {
                 limit: MAX_BODY_BYTES
-            }
+            })
         ));
 
         // A hostile multi-gigabyte declaration must be rejected at
         // header time — the assembler never allocates for the body.
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n";
-        let mut asm = Assembler::new(Limits::default());
-        asm.push(raw);
-        assert!(matches!(asm.next(), Err(WireError::TooLarge { .. })));
+        assert!(matches!(parse(raw), Err(WireError::TooLarge { .. })));
     }
 
     #[test]
@@ -728,35 +645,37 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_an_io_error() {
-        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
-        assert!(read_request(&mut BufReader::new(&raw[..])).is_err());
+    fn truncated_body_leaves_the_request_in_flight() {
+        let mut asm = Assembler::new(Limits::default());
+        asm.push(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort");
+        assert!(asm.next().unwrap().is_none());
+        assert!(!asm.is_idle(), "an eof here is mid-request");
     }
 
     #[test]
     fn overlong_and_non_utf8_lines_earn_a_400_not_an_error() {
         let mut raw = vec![b'A'; MAX_LINE_BYTES + 10];
         raw.extend_from_slice(b" /x HTTP/1.1\r\n\r\n");
-        assert!(matches!(parse(&raw), ReadOutcome::Malformed(m) if m == "line too long"));
+        assert!(matches!(parse(&raw), Err(WireError::Malformed(m)) if m == "line too long"));
 
         let raw = b"GET /\xff\xfe HTTP/1.1\r\n\r\n";
-        assert!(matches!(parse(&raw[..]), ReadOutcome::Malformed(m) if m == "non-utf8 line"));
+        assert!(matches!(parse(&raw[..]), Err(WireError::Malformed(m)) if m == "non-utf8 line"));
 
         // The same two problems inside a *header* line, after a clean
         // request line.
         let mut raw = b"GET /x HTTP/1.1\r\nX-Big: ".to_vec();
         raw.extend(std::iter::repeat_n(b'y', MAX_LINE_BYTES + 10));
         raw.extend_from_slice(b"\r\n\r\n");
-        assert!(matches!(parse(&raw), ReadOutcome::Malformed(_)));
+        assert!(matches!(parse(&raw), Err(WireError::Malformed(_))));
         assert!(matches!(
             parse(&b"GET /x HTTP/1.1\r\nX-Bin: \xff\xff\r\n\r\n"[..]),
-            ReadOutcome::Malformed(_)
+            Err(WireError::Malformed(_))
         ));
     }
 
     mod properties {
         use super::super::*;
-        use std::io::BufReader;
+        use super::parse;
         use ucfg_support::prop::Gen;
         use ucfg_support::{prop_assert, property};
 
@@ -774,19 +693,25 @@ mod tests {
 
         property! {
             cases = 256;
-            // Truncating a valid request anywhere must yield Eof, a 400,
-            // a complete parse, or a clean `Err` — never a panic.
+            // A valid request truncated anywhere is still in flight (or,
+            // at cut 0, not begun) — never a 400 or a panic — and the
+            // whole request parses.
             fn truncated_prefixes_never_panic(
                 raw in well_formed,
                 cut in |g: &mut Gen| g.int_in(0usize..1 << 9),
             ) {
                 let cut = cut.min(raw.len());
-                let outcome = read_request(&mut BufReader::new(&raw[..cut]));
+                let mut asm = Assembler::new(Limits::default());
+                asm.push(&raw[..cut]);
+                let outcome = asm.next();
                 if cut == raw.len() {
                     prop_assert!(
-                        matches!(outcome, Ok(ReadOutcome::Request(_))),
+                        matches!(outcome, Ok(Some(_))),
                         "whole request must parse: {outcome:?}"
                     );
+                } else {
+                    prop_assert!(matches!(outcome, Ok(None)), "cut {cut}: {outcome:?}");
+                    prop_assert!(asm.is_idle() == (cut == 0), "cut {cut}");
                 }
             }
         }
@@ -827,9 +752,7 @@ mod tests {
                     (0..len).map(|_| g.int_in(0u8..=255)).collect::<Vec<u8>>()
                 },
             ) {
-                if let Ok(ReadOutcome::Malformed(msg)) =
-                    read_request(&mut BufReader::new(&raw[..]))
-                {
+                if let Err(WireError::Malformed(msg)) = parse(&raw) {
                     prop_assert!(!msg.is_empty(), "400 needs a reason");
                 }
             }
@@ -845,9 +768,9 @@ mod tests {
                 byte in |g: &mut Gen| *g.choice(&[b'A', b' ', b'/', 0xff]),
             ) {
                 let raw = vec![byte; MAX_LINE_BYTES + extra];
-                let outcome = read_request(&mut BufReader::new(&raw[..]));
+                let outcome = parse(&raw);
                 prop_assert!(
-                    matches!(outcome, Ok(ReadOutcome::Malformed(ref m)) if m == "line too long"),
+                    matches!(outcome, Err(WireError::Malformed(ref m)) if m == "line too long"),
                     "{outcome:?}"
                 );
             }

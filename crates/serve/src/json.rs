@@ -363,14 +363,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four hex digits (`u32::from_str_radix` would also take a
+    /// leading `+`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
+        let mut v = 0;
+        for &b in &self.bytes[self.pos..end] {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            v = v * 16 + digit;
+        }
         self.pos = end;
         Ok(v)
     }
@@ -480,6 +486,7 @@ mod tests {
             "nul",
             "[1,2,",
             "1e999",
+            "\"\\u+041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }

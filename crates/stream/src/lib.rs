@@ -1,15 +1,14 @@
-//! Streaming parse subsystem: incremental Earley, sliding-window
-//! membership, and an online Bar-Hillel `CFG ∩ regex` query layer.
+//! Streaming parse subsystem: sliding-window membership and an online
+//! Bar-Hillel `CFG ∩ regex` query layer.
 //!
 //! The batch kernels elsewhere in the workspace answer questions about a
 //! *fixed* word. This crate answers the same questions about a *moving*
 //! one — a token stream that grows, slides, and rewinds — without
-//! reparsing from scratch on every change:
+//! reparsing from scratch on every change. It has no Earley engine of
+//! its own: the incremental chart (append, truncate, front eviction,
+//! all-starts mode) is [`ucfg_grammar::earley::Chart`], the same engine
+//! batch recognition runs.
 //!
-//! * [`StreamParser`] — append-only incremental Earley with
-//!   [`StreamParser::checkpoint`] / [`StreamParser::truncate`] rewind;
-//!   each append extends the chart by one set and reuses every closed
-//!   set verbatim.
 //! * [`WindowParser`] — a fixed-capacity sliding window over an
 //!   unbounded stream, answering window and window-suffix membership by
 //!   delta maintenance on an all-starts chart.
@@ -29,13 +28,10 @@
 
 #![warn(missing_docs)]
 
-pub(crate) mod engine;
-pub mod incremental;
 pub mod product;
 pub mod session;
 pub mod window;
 
-pub use incremental::{Checkpoint, StreamParser};
 pub use product::ProductQuery;
 pub use session::{session_id, FeedReport, ProductReport, QueryReport, StreamError, StreamSession};
 pub use window::WindowParser;

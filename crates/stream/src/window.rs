@@ -15,10 +15,11 @@
 //! pruning stragglers) never changes an answer about origins the window
 //! still covers.
 
-use crate::engine::Chart;
 use std::sync::Arc;
+use ucfg_grammar::earley::Chart;
 use ucfg_grammar::symbol::Terminal;
 use ucfg_grammar::Grammar;
+use ucfg_support::obs;
 
 /// A fixed-capacity sliding window with incremental Earley membership.
 ///
@@ -38,7 +39,7 @@ use ucfg_grammar::Grammar;
 /// assert_eq!(w.suffix_match_count(), 2);
 /// ```
 pub struct WindowParser {
-    chart: Chart,
+    chart: Chart<Arc<Grammar>>,
     capacity: usize,
     /// Evictions since the last prune (amortises prune cost).
     evicted_since_prune: usize,
@@ -82,20 +83,26 @@ impl WindowParser {
 
     /// Number of tokens currently in the window.
     pub fn window_len(&self) -> usize {
-        self.chart.len()
+        self.chart.tokens().len()
     }
 
     /// Push one token; returns the number of tokens evicted from the
-    /// front (0 until the window fills, then 1 per push).
+    /// front (0 until the window fills, then 1 per push). The append
+    /// reuses every chart cell already present, which
+    /// `stream.chart_cells_reused` counts.
     pub fn push(&mut self, t: Terminal) -> usize {
+        if obs::enabled() {
+            obs::counter("stream.tokens").add(1);
+            obs::counter("stream.chart_cells_reused").add(self.chart.cells());
+        }
         self.chart.append(t);
         let mut evicted = 0;
-        while self.chart.len() > self.capacity {
+        while self.chart.tokens().len() > self.capacity {
             self.chart.evict_front();
             evicted += 1;
         }
         // Amortised prune: stale pre-base items are skipped by the
-        // engine, but dropping them every half-capacity slides keeps
+        // chart, but dropping them every half-capacity slides keeps
         // per-set sizes proportional to the window.
         self.evicted_since_prune += evicted;
         if self.evicted_since_prune >= self.capacity.div_ceil(2) {
@@ -152,7 +159,8 @@ impl WindowParser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ucfg_grammar::earley::Earley;
+    use ucfg_grammar::cyk::CykChart;
+    use ucfg_grammar::normal_form::CnfGrammar;
     use ucfg_grammar::text::parse_grammar;
 
     fn dyck() -> Arc<Grammar> {
@@ -162,7 +170,9 @@ mod tests {
     #[test]
     fn window_membership_matches_full_reparse_at_every_slide() {
         let g = dyck();
-        let e = Earley::new(&g);
+        // The from-scratch oracle: scalar CYK on the CNF conversion.
+        let cnf = CnfGrammar::from_grammar(&g);
+        let member = |w: &str| CykChart::build_scalar(&cnf, &cnf.encode(w).unwrap()).accepted();
         let mut w = WindowParser::new(Arc::clone(&g), 4);
         let stream = "abaabbababbaabab";
         let tokens: Vec<char> = stream.chars().collect();
@@ -172,7 +182,7 @@ mod tests {
             let content: String = tokens[lo..=i].iter().collect();
             assert_eq!(
                 w.current_member(),
-                e.recognize_str(&content),
+                member(&content),
                 "window {content:?} after {} pushes",
                 i + 1
             );
@@ -181,7 +191,7 @@ mod tests {
                 let suffix: String = tokens[j..=i].iter().collect();
                 assert_eq!(
                     w.suffix_member(j as u64),
-                    e.recognize_str(&suffix),
+                    member(&suffix),
                     "suffix {suffix:?}"
                 );
             }

@@ -1,31 +1,28 @@
 //! Differential property tests for the streaming subsystem.
 //!
-//! The incremental engine re-implements Earley's chart construction
-//! with append/truncate/evict deltas; these tests pin it to the
-//! from-scratch kernels on random general grammars and random streams:
+//! The window and product layers maintain answers by deltas on the
+//! incremental Earley chart (`ucfg_grammar::earley::Chart`, whose own
+//! append/truncate properties live in the grammar crate's
+//! `tests/differential_props.rs`). These tests pin the deltas to an
+//! independent from-scratch kernel, scalar CYK on the CNF conversion,
+//! on random general grammars and random streams:
 //!
-//! * a chart grown by k appends is *identical* (same items at every
-//!   position, same cell count) to the chart a fresh parse of the same
-//!   tokens builds, and both agree with `ucfg_grammar::earley` on
-//!   membership at every prefix;
-//! * truncate/rewind round-trips land on the checkpointed chart
-//!   fingerprint exactly, no matter what streamed in between;
 //! * sliding-window membership, suffix counts, and `CFG ∩ regex` match
-//!   counts agree with brute-force full reparses of every window
-//!   suffix;
-//! * everything above is bit-identical across `par` thread counts
-//!   1 / 2 / 8 — the streaming layer is deterministic under the same
-//!   knob the serve matrix varies.
+//!   counts agree with scalar-CYK reparses of every window suffix;
+//! * everything is bit-identical across `par` thread counts 1 / 2 / 8 —
+//!   the streaming layer is deterministic under the same knob the serve
+//!   matrix varies.
 
 use std::sync::Arc;
 use ucfg_automata::dfa::Dfa;
 use ucfg_automata::regex::Regex;
-use ucfg_grammar::earley::Earley;
-use ucfg_grammar::{Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
-use ucfg_stream::{ProductQuery, StreamParser, StreamSession, WindowParser};
+use ucfg_grammar::cyk::CykChart;
+use ucfg_grammar::earley::Chart;
+use ucfg_grammar::{CnfGrammar, Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
+use ucfg_stream::{ProductQuery, StreamSession, WindowParser};
 use ucfg_support::prop::Gen;
 use ucfg_support::rng::Rng;
-use ucfg_support::{par, prop_assert, prop_assert_eq, property};
+use ucfg_support::{par, prop_assert_eq, property};
 
 const ALPHABET: [char; 2] = ['a', 'b'];
 
@@ -63,98 +60,18 @@ fn rand_stream(g: &mut Gen) -> Vec<Terminal> {
     g.vec_of(0..13, |g| Terminal(g.rng().random_range(0..2u16)))
 }
 
-/// A random append/truncate edit script. Each step either appends a
-/// token or rewinds to a random earlier position.
-#[derive(Debug, Clone)]
-enum Edit {
-    Append(Terminal),
-    TruncateTo(u64),
-}
-
-fn rand_edits(g: &mut Gen) -> Vec<Edit> {
-    g.vec_of(1..16, |g| {
-        if g.rng().random_range(0..4u32) == 0 {
-            // Interpreted modulo the current length at replay time.
-            Edit::TruncateTo(g.rng().random_range(0..16u64))
-        } else {
-            Edit::Append(Terminal(g.rng().random_range(0..2u16)))
-        }
-    })
-}
-
 property! {
-    cases = 96;
-    /// k appends build the same chart a from-scratch parse builds, and
-    /// agree with the batch Earley recogniser at every prefix.
-    fn appends_equal_full_reparse(
-        g in rand_grammar,
-        stream in rand_stream,
-    ) {
-        let e = Earley::new(&g);
-        let mut p = StreamParser::new(Arc::clone(&g));
-        for (i, &t) in stream.iter().enumerate() {
-            p.append(t);
-            prop_assert_eq!(
-                p.accepted(),
-                e.recognize(&stream[..=i]),
-                "prefix of length {}",
-                i + 1
-            );
-            let mut fresh = StreamParser::new(Arc::clone(&g));
-            for &t in &stream[..=i] {
-                fresh.append(t);
-            }
-            prop_assert_eq!(p.fingerprint(), fresh.fingerprint());
-            prop_assert_eq!(p.cell_count(), fresh.cell_count());
-        }
-    }
-
-    cases = 96;
-    /// Any append/truncate script is equivalent to a fresh parse of the
-    /// surviving tokens, and a checkpoint taken anywhere restores the
-    /// exact chart fingerprint.
-    fn edit_scripts_equal_replay(
-        g in rand_grammar,
-        edits in rand_edits,
-    ) {
-        let mut p = StreamParser::new(Arc::clone(&g));
-        let mut shadow: Vec<Terminal> = Vec::new();
-        let cp = p.checkpoint();
-        let cp_fp = p.fingerprint();
-        for e in &edits {
-            match e {
-                Edit::Append(t) => {
-                    p.append(*t);
-                    shadow.push(*t);
-                }
-                Edit::TruncateTo(raw) => {
-                    let to = if shadow.is_empty() { 0 } else { raw % (shadow.len() as u64 + 1) };
-                    p.truncate(ucfg_stream::Checkpoint(to)).unwrap();
-                    shadow.truncate(to as usize);
-                }
-            }
-            let mut fresh = StreamParser::new(Arc::clone(&g));
-            for &t in &shadow {
-                fresh.append(t);
-            }
-            prop_assert_eq!(p.fingerprint(), fresh.fingerprint(), "after {:?}", e);
-        }
-        // Rewinding all the way back restores the initial chart.
-        p.truncate(cp).unwrap();
-        prop_assert_eq!(p.fingerprint(), cp_fp);
-        prop_assert!(p.is_empty());
-    }
-
     cases = 64;
     /// Sliding-window membership, suffix counts, and product-query match
-    /// counts agree with brute-force reparses at every slide.
+    /// counts agree with scalar-CYK reparses at every slide.
     fn window_and_product_equal_brute_force(
         g in rand_grammar,
         stream in rand_stream,
         cap in |g: &mut Gen| g.int_in(1usize..=5),
         ri in |g: &mut Gen| g.int_in(0usize..REGEXES.len()),
     ) {
-        let e = Earley::new(&g);
+        let cnf = CnfGrammar::from_grammar(&g);
+        let member = |w: &[Terminal]| CykChart::build_scalar(&cnf, w).accepted();
         let regex = REGEXES[ri];
         let dfa = Dfa::from_nfa(&Regex::parse(regex).unwrap().glushkov());
         let mut w = WindowParser::new(Arc::clone(&g), cap);
@@ -168,19 +85,15 @@ property! {
             let mut product_matches = 0usize;
             for j in lo..=i + 1 {
                 let suffix = &stream[j..=i];
-                let member = if suffix.is_empty() {
-                    e.recognize(&[])
-                } else {
-                    e.recognize(suffix)
-                };
-                prop_assert_eq!(w.suffix_member(j as u64), member, "suffix at {j}");
-                suffix_members += usize::from(member);
+                let is_member = member(suffix);
+                prop_assert_eq!(w.suffix_member(j as u64), is_member, "suffix at {j}");
+                suffix_members += usize::from(is_member);
                 let text: String = suffix.iter().map(|&t| ALPHABET[t.index()]).collect();
-                product_matches += usize::from(member && dfa.accepts(&text));
+                product_matches += usize::from(is_member && dfa.accepts(&text));
             }
             prop_assert_eq!(w.suffix_match_count(), suffix_members);
             prop_assert_eq!(q.window_matches(&w), product_matches);
-            prop_assert_eq!(w.current_member(), e.recognize(&stream[lo..=i]));
+            prop_assert_eq!(w.current_member(), member(&stream[lo..=i]));
         }
     }
 }
@@ -200,11 +113,11 @@ fn results_are_identical_across_thread_counts() {
         let text: String = stream.iter().map(|&t| ALPHABET[t.index()]).collect();
         s.feed(&text).unwrap();
         let q = s.query();
-        let mut p = StreamParser::new(Arc::clone(&grammar));
+        let mut chart = Chart::new(Arc::clone(&grammar), false);
         for &t in &stream {
-            p.append(t);
+            chart.append(t);
         }
-        outcomes.push((p.fingerprint(), format!("{q:?}")));
+        outcomes.push((chart.fingerprint(), format!("{q:?}")));
     }
     par::set_thread_count(1);
     assert_eq!(outcomes[0], outcomes[1], "1 vs 2 threads");

@@ -1,14 +1,15 @@
 //! A small benchmark harness (the workspace's in-tree replacement for
-//! `criterion`), for `harness = false` bench targets.
+//! `criterion`), driven by the `bench` binary of `ucfg-bench`.
 //!
-//! Each bench binary builds a [`Suite`], registers timed closures under
+//! Each suite builds a [`Suite`], registers timed closures under
 //! groups, and finishes by writing one JSON line per benchmark to
 //! `out/BENCH_<suite>.json` (the `BENCH_*.json` convention used by the
 //! repo's tooling). Measurement is warmup + `samples` timed batches;
 //! reported statistics are per-iteration min / mean / median / p95 / max
 //! in nanoseconds.
 //!
-//! Flags (after `cargo bench ... --`):
+//! Flags (after `bench <suite>`); anything else starting with `-`, or a
+//! malformed number, is an error:
 //! - `--smoke`       run every benchmark once, no statistics — the CI gate
 //! - `--list`        print each benchmark's `group/id` without running it
 //! - `--samples N`   timed batches per benchmark (default 20)
@@ -71,38 +72,32 @@ pub fn out_dir() -> PathBuf {
 }
 
 impl Options {
-    /// Parse harness options from an argument iterator. Unknown flags
-    /// (e.g. the `--bench` cargo appends) are ignored; bare arguments
-    /// become the name filter.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// Parse harness options from an argument iterator; a bare argument
+    /// becomes the name filter. An unknown flag, a missing value, or a
+    /// malformed number is an error, so a typo such as `--smok` cannot
+    /// silently run the full timed profile.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = Options::default();
-        let mut args = args.peekable();
         while let Some(a) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
                 "--list" => opts.list = true,
-                "--samples" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.samples = v;
-                    }
-                }
-                "--warmup-ms" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.warmup_ms = v;
-                    }
-                }
-                "--out-dir" => {
-                    if let Some(v) = args.next() {
-                        opts.out_dir = PathBuf::from(v);
-                    }
-                }
-                flag if flag.starts_with('-') => {} // cargo's --bench etc.
+                "--samples" => opts.samples = number(&a, &value()?)?,
+                "--warmup-ms" => opts.warmup_ms = number(&a, &value()?)?,
+                "--out-dir" => opts.out_dir = PathBuf::from(value()?),
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
                 name => opts.filter = Some(name.to_string()),
             }
         }
         opts.samples = opts.samples.max(2);
-        opts
+        Ok(opts)
     }
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} takes a non-negative integer, not {v:?}"))
 }
 
 /// Per-iteration timing statistics, in nanoseconds.
@@ -202,7 +197,7 @@ pub struct BenchEntry {
     pub stats: Stats,
 }
 
-/// A bench suite: the top-level object of a `harness = false` target.
+/// A bench suite: the named set of benchmarks one `bench <suite>` run times.
 pub struct Suite {
     name: String,
     opts: Options,
@@ -211,14 +206,14 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Build a suite, reading options from `std::env::args`.
-    pub fn new(name: &str) -> Self {
-        Self::with_options(name, Options::parse(std::env::args().skip(1)))
-    }
-
     /// Build a suite from explicit argument strings (for tests).
+    ///
+    /// # Panics
+    ///
+    /// If the arguments do not parse as [`Options`].
     pub fn with_args(name: &str, args: impl Iterator<Item = String>) -> Self {
-        Self::with_options(name, Options::parse(args))
+        let opts = Options::parse(args).unwrap_or_else(|e| panic!("bench options: {e}"));
+        Self::with_options(name, opts)
     }
 
     /// Build a suite from parsed options.
@@ -423,18 +418,36 @@ mod tests {
 
     #[test]
     fn option_parsing() {
-        let o = Options::parse(args(&["--smoke", "--samples", "7", "cyk", "--bench"]));
+        let o = Options::parse(args(&["--smoke", "--samples", "7", "cyk"])).unwrap();
         assert!(o.smoke);
         assert_eq!(o.samples, 7);
         assert_eq!(o.filter.as_deref(), Some("cyk"));
 
-        let o = Options::parse(args(&["--warmup-ms", "5", "--out-dir", "/tmp/x"]));
+        let o = Options::parse(args(&["--warmup-ms", "5", "--out-dir", "/tmp/x"])).unwrap();
         assert!(!o.smoke);
         assert_eq!(o.warmup_ms, 5);
         assert_eq!(o.out_dir, PathBuf::from("/tmp/x"));
 
         // --samples floor of 2 keeps statistics meaningful.
-        assert_eq!(Options::parse(args(&["--samples", "0"])).samples, 2);
+        assert_eq!(
+            Options::parse(args(&["--samples", "0"])).unwrap().samples,
+            2
+        );
+    }
+
+    #[test]
+    fn option_parsing_rejects_typos_and_bad_numbers() {
+        for bad in [
+            &["--smok"][..],
+            &["--bench"],
+            &["--samples", "many"],
+            &["--samples", "-3"],
+            &["--warmup-ms", "1.5"],
+            &["--samples"],
+            &["--out-dir"],
+        ] {
+            assert!(Options::parse(args(bad)).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
@@ -528,7 +541,7 @@ mod tests {
     #[test]
     fn finish_writes_json_file() {
         let dir = std::env::temp_dir().join(format!("ucfg_bench_test_{}", std::process::id()));
-        let mut opts = Options::parse(args(&["--smoke"]));
+        let mut opts = Options::parse(args(&["--smoke"])).unwrap();
         opts.out_dir = dir.clone();
         let mut suite = Suite::with_options("filetest", opts);
         suite.group("g").bench("b", || 1 + 1);

@@ -1,8 +1,8 @@
 //! # ucfg-support — hermetic workspace support
 //!
 //! In-tree, zero-dependency replacements for the three external crates the
-//! workspace used, so `cargo build` / `cargo test` / `cargo bench` work
-//! fully offline and bit-for-bit reproducibly:
+//! workspace used, so `cargo build`, `cargo test` and the `bench` binary
+//! work fully offline and bit-for-bit reproducibly:
 //!
 //! - [`rng`] — deterministic seedable PRNGs (SplitMix64, xoshiro256**)
 //!   with the `random`/`random_range`/`shuffle`/`choose` surface
