@@ -6,9 +6,10 @@ use ucfg_automata::ln_nfa::{exact_nfa, pattern_nfa};
 use ucfg_core::ln_grammars::{appendix_a_grammar, example4_ucfg};
 use ucfg_core::words;
 use ucfg_grammar::cyk::CykChart;
-use ucfg_grammar::earley::Earley;
+use ucfg_grammar::earley::{Earley, InsideCounter};
 use ucfg_grammar::normal_form::CnfGrammar;
 use ucfg_grammar::parse_tree::FixedLenParser;
+use ucfg_grammar::text::parse_grammar;
 use ucfg_support::bench::{Options, Suite};
 
 fn some_words(n: usize, how_many: usize) -> Vec<String> {
@@ -50,6 +51,20 @@ fn bench_cyk_count(suite: &mut Suite) {
             CykChart::build(black_box(&cnf), &all_a).count_trees()
         });
     }
+}
+
+/// The ambiguous `S -> S S | a` over `a^128`: Catalan(127) trees, so
+/// nearly every count is a big integer. The Earley inside pass against
+/// the CYK fill + count it replaced for stream windows.
+fn bench_count_catalan(suite: &mut Suite) {
+    let mut g = suite.group("count_catalan_a128");
+    let cnf = CnfGrammar::from_grammar(&parse_grammar("S -> S S | a").unwrap());
+    let word = cnf.encode(&"a".repeat(128)).unwrap();
+    g.bench("cyk", || {
+        CykChart::build(black_box(&cnf), &word).count_trees()
+    });
+    let counter = InsideCounter::new(&cnf);
+    g.bench("earley_inside", || counter.count(black_box(&word)));
 }
 
 fn bench_fixed_len_parser(suite: &mut Suite) {
@@ -114,6 +129,7 @@ pub(super) fn build(opts: Options) -> Suite {
     let mut suite = Suite::with_options("parsing", opts);
     bench_cyk(&mut suite);
     bench_cyk_count(&mut suite);
+    bench_count_catalan(&mut suite);
     bench_fixed_len_parser(&mut suite);
     bench_earley(&mut suite);
     bench_nfa(&mut suite);

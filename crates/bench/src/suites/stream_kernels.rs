@@ -10,7 +10,11 @@
 //! * `append/full_reparse/wW` — what the same arrival costs without the
 //!   subsystem: re-recognize the whole `W`-token window from scratch;
 //! * `product/sync/wW` — the `CFG ∩ regex` layer's per-token cost: push
-//!   the token through the tracked DFA states and re-sync suffixes.
+//!   the token through the tracked DFA states and re-sync suffixes;
+//! * `query/wW` — two full [`StreamSession::query`] reports on full
+//!   windows with a registered regex: a member window (`ab` repeated,
+//!   whose tree count runs to the end) and a dead-prefix window (`ba`
+//!   repeated, whose count stops at the first token).
 //!
 //! The `incremental` / `full_reparse` ratio in `out/BENCH_stream.json`
 //! is the acceptance number EXPERIMENTS.md quotes (≥ 5× at `W` ≥ 256).
@@ -19,7 +23,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use ucfg_grammar::earley::Earley;
 use ucfg_grammar::text::parse_grammar;
-use ucfg_stream::{ProductQuery, WindowParser};
+use ucfg_stream::{ProductQuery, StreamSession, WindowParser};
 use ucfg_support::bench::{Options, Suite};
 
 const WINDOWS: [usize; 3] = [64, 256, 1024];
@@ -76,6 +80,22 @@ pub(super) fn build(opts: Options) -> Suite {
                 q.push(t);
                 q.sync(&parser);
                 black_box(q.window_matches(&parser))
+            });
+        }
+    }
+    {
+        let mut grp = suite.group("query");
+        for &w in &WINDOWS {
+            let session = |text: String| {
+                let mut s = StreamSession::open(Arc::clone(&g), w, Some("a(a|b)*b"), "bench")
+                    .expect("regex");
+                s.feed(&text).expect("alphabet");
+                s
+            };
+            let member = session("ab".repeat(w / 2));
+            let dead = session("ba".repeat(w / 2));
+            grp.bench(&format!("w{w}"), || {
+                black_box((member.query(), dead.query()))
             });
         }
     }

@@ -23,13 +23,26 @@
 //! grammars (e.g. the Appendix A grammar with its long rule bodies), so
 //! it cross-checks both the CNF conversion and the CYK chart;
 //! `tests/differential_props.rs` pins it to both CYK fills.
+//!
+//! A **counting** chart holds the same items, each with its inside
+//! count: the number of derivations of the tokens between its origin and
+//! its set by the symbols before its dot. [`count_trees`] and
+//! [`InsideCounter`] run it over a CNF grammar's view
+//! ([`CnfGrammar::to_grammar`]), so their counts equal
+//! [`CykChart::count_trees`](crate::cyk::CykChart::count_trees) by
+//! construction, at O(n²) on unambiguous grammars where the CYK chart
+//! costs O(n³), and stop at the first position where the prefix dies.
 
 use crate::analysis::nullable;
+use crate::bignum::BigUint;
 use crate::cfg::Grammar;
+use crate::normal_form::CnfGrammar;
 use crate::symbol::{NonTerminal, Symbol, Terminal};
-use std::borrow::Borrow;
-use std::collections::{HashSet, VecDeque};
+use std::borrow::{Borrow, Cow};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
 use ucfg_support::fnv::Fnv1a;
+use ucfg_support::obs;
 
 /// An Earley item: rule `rule` with the dot before position `dot`,
 /// started at **absolute** position `origin` (absolute so that window
@@ -66,13 +79,64 @@ impl Item {
             ..self
         }
     }
+
+    /// The rule's left-hand side.
+    fn lhs(self, g: &Grammar) -> NonTerminal {
+        g.rules()[self.rule as usize].lhs
+    }
+}
+
+/// An exact derivation count: a `u64` while it fits, promoted exactly
+/// to a [`BigUint`] when a sum or product overflows.
+#[derive(Debug, Clone)]
+enum Count {
+    Small(u64),
+    Big(BigUint),
+}
+
+impl Count {
+    fn from_u128(v: u128) -> Count {
+        u64::try_from(v).map_or_else(|_| Count::Big(BigUint::from_u128(v)), Count::Small)
+    }
+
+    fn big(&self) -> Cow<'_, BigUint> {
+        match self {
+            Count::Small(v) => Cow::Owned(BigUint::from_u64(*v)),
+            Count::Big(b) => Cow::Borrowed(b),
+        }
+    }
+
+    fn product(a: &Count, b: &Count) -> Count {
+        match (a, b) {
+            (Count::Small(x), Count::Small(y)) => Count::from_u128(u128::from(*x) * u128::from(*y)),
+            _ => Count::Big(&*a.big() * &*b.big()),
+        }
+    }
+
+    fn add(&mut self, other: &Count) {
+        *self = match (&*self, other) {
+            (Count::Small(x), Count::Small(y)) => Count::from_u128(u128::from(*x) + u128::from(*y)),
+            _ => Count::Big(&*self.big() + &*other.big()),
+        };
+    }
 }
 
 /// One Earley set: items in insertion order plus a dedup index.
+///
+/// A counting chart's sets leave `seen` empty (their closure needs no
+/// general dedup, see [`Chart::close_counted`]) and fill the counting
+/// fields instead.
 #[derive(Default)]
 struct Set {
     items: Vec<Item>,
     seen: HashSet<Item>,
+    /// The inside count of each item, parallel to `items`.
+    counts: Vec<Count>,
+    /// Indices of the items whose next symbol is a non-terminal, grouped
+    /// by that non-terminal: `B`'s waiters are
+    /// `waiting[waiting_at[B]..waiting_at[B + 1]]`.
+    waiting: Vec<u32>,
+    waiting_at: Vec<u32>,
 }
 
 impl Set {
@@ -94,6 +158,48 @@ impl Set {
             }
         }
     }
+
+    /// Index the waiters: `waits` holds `(B, i)` for every item `i`
+    /// whose next symbol is the non-terminal `B`, in item order; a
+    /// counting sort groups them by `B` into `waiting`.
+    fn index_waiting(&mut self, nonterminals: usize, waits: &[(NonTerminal, u32)]) {
+        let mut at = vec![0u32; nonterminals + 1];
+        for &(b, _) in waits {
+            at[b.index() + 1] += 1;
+        }
+        for b in 0..nonterminals {
+            at[b + 1] += at[b];
+        }
+        let mut fill = at.clone();
+        self.waiting = vec![0; waits.len()];
+        for &(b, i) in waits {
+            self.waiting[fill[b.index()] as usize] = i;
+            fill[b.index()] += 1;
+        }
+        self.waiting_at = at;
+    }
+
+    /// The indices of the items whose next symbol is `b`.
+    fn waiting_on(&self, b: NonTerminal) -> &[u32] {
+        &self.waiting[self.waiting_at[b.index()] as usize..self.waiting_at[b.index() + 1] as usize]
+    }
+}
+
+/// Counting mode's working buffers, reused from set to set.
+#[derive(Default)]
+struct Scratch {
+    /// Complete items of the set being closed, as `(lhs, index)`, by
+    /// origin (offset from the base).
+    by_origin: Vec<Vec<(NonTerminal, u32)>>,
+    /// Bit `o` is set while `by_origin[o]` is not empty.
+    pending: Vec<u64>,
+    /// Items with two or more symbols before the dot, to their index.
+    split_items: HashMap<Item, u32>,
+    /// Non-terminals already predicted in the set being closed.
+    predicted: Vec<bool>,
+    /// `(B, i)` for every item `i` of the set being closed whose next
+    /// symbol is the non-terminal `B`.
+    waits: Vec<(NonTerminal, u32)>,
 }
 
 /// An incremental Earley chart. `G` is `&Grammar` for batch recognition
@@ -125,6 +231,9 @@ pub struct Chart<G: Borrow<Grammar>> {
     /// so "does the suffix starting at `j` parse?" can be read off the
     /// newest set for every `j` at once.
     all_starts: bool,
+    /// Counting mode ([`Chart::counting`]): every item carries its
+    /// inside count, and the closure works in these buffers.
+    counting: Option<Scratch>,
     /// Absolute position of `sets[0]`.
     base: u64,
     tokens: VecDeque<Terminal>,
@@ -145,11 +254,43 @@ impl<G: Borrow<Grammar>> Chart<G> {
             g,
             nullable,
             all_starts,
+            counting: None,
             base: 0,
             tokens: VecDeque::new(),
             sets: VecDeque::new(),
         };
         chart.push_set(Set::default());
+        chart
+    }
+
+    /// An empty counting chart at position 0: it holds the items a
+    /// [`Chart::new`]`(g, false)` chart holds, each with its inside
+    /// count, so [`Chart::count`] reads the number of parse trees of the
+    /// appended word. A counting chart grows and truncates but does not
+    /// slide. `g` must have no ε-rules and no unit rules `A → B`: the
+    /// counting closure relies on every symbol spanning at least one
+    /// token.
+    fn counting(g: G) -> Self {
+        let grammar = g.borrow();
+        debug_assert!(
+            grammar
+                .rules()
+                .iter()
+                .all(|r| !matches!(r.rhs[..], [] | [Symbol::N(_)])),
+            "a counting chart needs a grammar without ε-rules and unit rules"
+        );
+        // Without ε-rules nothing is nullable.
+        let nullable = vec![false; grammar.nonterminal_count()];
+        let mut chart = Chart {
+            g,
+            nullable,
+            all_starts: false,
+            counting: Some(Scratch::default()),
+            base: 0,
+            tokens: VecDeque::new(),
+            sets: VecDeque::new(),
+        };
+        chart.close_counted(Set::default());
         chart
     }
 
@@ -237,9 +378,124 @@ impl<G: Borrow<Grammar>> Chart<G> {
         self.sets.push_back(set);
     }
 
+    /// Close `set`, the set at position `total()`, in counting mode,
+    /// then retain it. `set` holds the scanned items and their counts.
+    ///
+    /// Without ε-rules no item completes in the set that predicted it,
+    /// and without unit rules a complete item's last symbol starts
+    /// strictly after its origin. So an item complete here with origin
+    /// `i` draws all its derivations from complete items with origins
+    /// above `i`: completing in decreasing origin order makes each count
+    /// final before it propagates. Complete items sharing an origin and a
+    /// left-hand side advance their waiters once, with summed counts.
+    /// Predictions come last: they never complete in their own set.
+    fn close_counted(&mut self, mut set: Set) {
+        let here = self.total();
+        let (g, base, sets) = (self.g.borrow(), self.base, &self.sets);
+        let scratch = self.counting.as_mut().expect("a counting chart");
+        let span = (here - base) as usize;
+        if scratch.by_origin.len() < span {
+            scratch.by_origin.resize_with(span, Vec::new);
+            scratch.pending.resize(span.div_ceil(64), 0);
+        }
+        let pend = |scratch: &mut Scratch, it: Item, i: usize| {
+            let origin = (it.origin - base) as usize;
+            scratch.by_origin[origin].push((it.lhs(g), i as u32));
+            scratch.pending[origin / 64] |= 1 << (origin % 64);
+        };
+        for (i, &it) in set.items.iter().enumerate() {
+            if it.next(g).is_none() {
+                pend(scratch, it, i);
+            }
+        }
+        // Only an item with two or more symbols before its dot can be
+        // reached from more than one split point, so only such items are
+        // looked up; every other advance creates a new item.
+        scratch.split_items.clear();
+        // Completing only adds items of smaller origin, so the highest
+        // pending origin never rises and its bitmap word only moves down.
+        let mut word = span.div_ceil(64);
+        while word > 0 {
+            if scratch.pending[word - 1] == 0 {
+                word -= 1;
+                continue;
+            }
+            let bit = 63 - scratch.pending[word - 1].leading_zeros() as usize;
+            scratch.pending[word - 1] &= !(1 << bit);
+            let origin = (word - 1) * 64 + bit;
+            let mut complete = std::mem::take(&mut scratch.by_origin[origin]);
+            complete.sort_unstable();
+            for group in complete.chunk_by(|x, y| x.0 == y.0) {
+                let mut inside = set.counts[group[0].1 as usize].clone();
+                for &(_, j) in &group[1..] {
+                    inside.add(&set.counts[j as usize]);
+                }
+                let from = &sets[origin];
+                for &w in from.waiting_on(group[0].0) {
+                    let target = from.items[w as usize].advanced();
+                    let count = Count::product(&from.counts[w as usize], &inside);
+                    if target.dot >= 2 {
+                        match scratch.split_items.entry(target) {
+                            Entry::Occupied(e) => {
+                                set.counts[*e.get() as usize].add(&count);
+                                continue;
+                            }
+                            Entry::Vacant(e) => {
+                                e.insert(set.items.len() as u32);
+                            }
+                        }
+                    }
+                    if target.next(g).is_none() {
+                        pend(scratch, target, set.items.len());
+                    }
+                    set.items.push(target);
+                    set.counts.push(count);
+                }
+            }
+            complete.clear();
+            scratch.by_origin[origin] = complete;
+        }
+        // Predict each non-terminal once; a predicted item's count is 1.
+        let predicted = &mut scratch.predicted;
+        predicted.clear();
+        predicted.resize(g.nonterminal_count(), false);
+        let mut predict = |set: &mut Set, a: NonTerminal| {
+            if !std::mem::replace(&mut predicted[a.index()], true) {
+                for (ri, r) in g.rules().iter().enumerate() {
+                    if r.lhs == a {
+                        set.items.push(Item {
+                            rule: ri as u32,
+                            dot: 0,
+                            origin: here,
+                        });
+                        set.counts.push(Count::Small(1));
+                    }
+                }
+            }
+        };
+        if here == 0 {
+            predict(&mut set, g.start());
+        }
+        let waits = &mut scratch.waits;
+        waits.clear();
+        let mut i = 0;
+        while i < set.items.len() {
+            if let Some(Symbol::N(b)) = set.items[i].next(g) {
+                predict(&mut set, b);
+                waits.push((b, i as u32));
+            }
+            i += 1;
+        }
+        set.index_waiting(g.nonterminal_count(), waits);
+        self.sets.push_back(set);
+    }
+
     /// Append one token: scan the newest set into a fresh set, then seed
     /// and close that. Every earlier set is reused untouched.
     pub fn append(&mut self, t: Terminal) {
+        if self.counting.is_some() {
+            return self.append_counted(t);
+        }
         let g = self.g.borrow();
         let mut next = Set::default();
         for &it in &self.newest().items {
@@ -250,6 +506,21 @@ impl<G: Borrow<Grammar>> Chart<G> {
         }
         self.tokens.push_back(t);
         self.push_set(next);
+    }
+
+    /// [`Chart::append`] in counting mode: a scanned item keeps its count.
+    fn append_counted(&mut self, t: Terminal) {
+        let g = self.g.borrow();
+        let newest = self.newest();
+        let mut next = Set::default();
+        for (it, count) in newest.items.iter().zip(&newest.counts) {
+            if it.next(g) == Some(Symbol::T(t)) {
+                next.items.push(it.advanced());
+                next.counts.push(count.clone());
+            }
+        }
+        self.tokens.push_back(t);
+        self.close_counted(next);
     }
 
     /// Rewind to absolute position `to`, keeping the first `to - base`
@@ -294,6 +565,26 @@ impl<G: Borrow<Grammar>> Chart<G> {
         }
     }
 
+    /// Does the newest set hold no items? A chart seeded at position 0
+    /// only then has a dead prefix: no extension of its tokens parses.
+    fn is_dead(&self) -> bool {
+        self.newest().items.is_empty()
+    }
+
+    /// The number of parse trees of the appended word, on a counting
+    /// chart: the summed counts of the complete start-rule items with
+    /// origin 0 in the newest set.
+    fn count(&self) -> BigUint {
+        let g = self.g.borrow();
+        let mut total = Count::Small(0);
+        for (it, count) in self.newest().items.iter().zip(&self.newest().counts) {
+            if it.origin == 0 && it.next(g).is_none() && it.lhs(g) == g.start() {
+                total.add(count);
+            }
+        }
+        total.big().into_owned()
+    }
+
     /// Is there a complete start-rule item with origin `j` in the newest
     /// set? For `j = 0` on a fresh chart, and for every retained `j` in
     /// all-starts mode, this says `tokens[j..total] ∈ L(G)`.
@@ -327,6 +618,65 @@ impl<G: Borrow<Grammar>> Chart<G> {
         }
         h.finish()
     }
+}
+
+/// Exact parse-tree counts over a CNF grammar by an Earley inside pass:
+/// the grammar's view ([`CnfGrammar::to_grammar`], free of ε-rules and
+/// unit rules) is built once, and each word runs through a fresh
+/// counting [`Chart`]. Counts equal
+/// [`CykChart::count_trees`](crate::cyk::CykChart::count_trees).
+///
+/// ```
+/// use ucfg_grammar::earley::InsideCounter;
+/// use ucfg_grammar::text::parse_grammar;
+/// use ucfg_grammar::CnfGrammar;
+///
+/// let cnf = CnfGrammar::from_grammar(&parse_grammar("S -> S S | a").unwrap());
+/// let counter = InsideCounter::new(&cnf);
+/// // a⁴ has Catalan(3) = 5 parse trees; the empty word has none.
+/// assert_eq!(counter.count(&cnf.encode("aaaa").unwrap()).to_u64(), Some(5));
+/// assert!(counter.count(&[]).is_zero());
+/// ```
+pub struct InsideCounter {
+    view: Grammar,
+    accepts_epsilon: bool,
+}
+
+impl InsideCounter {
+    /// Build the CNF view of `g`.
+    pub fn new(g: &CnfGrammar) -> Self {
+        InsideCounter {
+            view: g.to_grammar(),
+            accepts_epsilon: g.accepts_epsilon(),
+        }
+    }
+
+    /// The number of parse trees of `word`. The pass stops at the first
+    /// position where the prefix dies.
+    pub fn count(&self, word: &[Terminal]) -> BigUint {
+        if word.is_empty() {
+            return BigUint::from_u64(u64::from(self.accepts_epsilon));
+        }
+        obs::count!("earley.count.passes");
+        let mut chart = Chart::counting(&self.view);
+        for &t in word {
+            chart.append(t);
+            if chart.is_dead() {
+                break;
+            }
+        }
+        obs::count!("earley.count.items", chart.cells());
+        if chart.is_dead() {
+            BigUint::zero()
+        } else {
+            chart.count()
+        }
+    }
+}
+
+/// The number of parse trees of `word` under `g`; see [`InsideCounter`].
+pub fn count_trees(g: &CnfGrammar, word: &[Terminal]) -> BigUint {
+    InsideCounter::new(g).count(word)
 }
 
 /// Batch Earley recogniser: the grammar's nullable table computed once,
@@ -529,6 +879,36 @@ mod tests {
         append_str(&mut chart, "aabbab");
         chart.truncate(4);
         chart.truncate(10);
+    }
+
+    #[test]
+    fn counting_chart_holds_the_recognizers_items() {
+        for (src, text) in [
+            ("S -> a S b S | ()", "aabbabaabb"),
+            ("S -> S S | a", "aaaaaaa"),
+            ("S -> a S b | S S | a b", "aabbab"),
+        ] {
+            let view = CnfGrammar::from_grammar(&parse_grammar(src).unwrap()).to_grammar();
+            let mut plain = Chart::new(&view, false);
+            let mut counting = Chart::counting(&view);
+            assert_eq!(plain.fingerprint(), counting.fingerprint(), "{src}");
+            for t in view.encode(text).unwrap() {
+                plain.append(t);
+                counting.append(t);
+                assert_eq!(plain.fingerprint(), counting.fingerprint(), "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn counts_promote_past_u64_exactly() {
+        // a^40 under S → S S | a has Catalan(39) ≈ 6.8·10²⁰ trees.
+        let g = CnfGrammar::from_grammar(&parse_grammar("S -> S S | a").unwrap());
+        let w = vec![Terminal(0); 40];
+        let n = count_trees(&g, &w);
+        assert!(n.to_u64().is_none(), "Catalan(39) overflows u64");
+        assert_eq!(n.to_string(), "680425371729975800390");
+        assert_eq!(n, CykChart::build_scalar(&g, &w).count_trees());
     }
 
     #[test]

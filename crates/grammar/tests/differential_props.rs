@@ -14,11 +14,13 @@
 //! recognition and the stream crate's windows) is pinned the same way:
 //! a chart grown by appends agrees with CYK at every prefix and equals
 //! a fresh chart of the same tokens, and any append/truncate script
-//! lands on the chart a replay of the surviving tokens builds.
+//! lands on the chart a replay of the surviving tokens builds. Its
+//! counting mode's exact tree counts equal both CYK fills' counts on
+//! every short word.
 
 use ucfg_grammar::count::TreeCounter;
 use ucfg_grammar::cyk::CykChart;
-use ucfg_grammar::earley::{Chart, Earley};
+use ucfg_grammar::earley::{count_trees, Chart, Earley};
 use ucfg_grammar::language::language_up_to;
 use ucfg_grammar::{BigUint, CnfGrammar, Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
 use ucfg_support::prop::Gen;
@@ -230,6 +232,41 @@ property! {
     }
 }
 
+/// Every word over {a, b} of length at most `max_len`, shortest first.
+fn all_words(max_len: usize) -> impl Iterator<Item = Vec<Terminal>> {
+    (0..=max_len).flat_map(|len| {
+        (0..1u32 << len)
+            .map(move |bits| (0..len).map(|i| Terminal((bits >> i & 1) as u16)).collect())
+    })
+}
+
+property! {
+    cases = 48;
+    /// The Earley inside count equals both CYK fills' tree counts on
+    /// every word up to length 8, ε and dead prefixes included, over a
+    /// random CNF grammar and over the CNF conversion of a random general
+    /// grammar (ε-rules, unit rules and ambiguity all occur).
+    fn inside_counts_equal_cyk(cnf in rand_cnf, g in rand_general) {
+        for cnf in [cnf, CnfGrammar::from_grammar(&g)] {
+            for word in all_words(8) {
+                let n = count_trees(&cnf, &word);
+                prop_assert_eq!(
+                    &n,
+                    &CykChart::build(&cnf, &word).count_trees(),
+                    "bitset CYK on {:?}",
+                    cnf.decode(&word)
+                );
+                prop_assert_eq!(
+                    &n,
+                    &CykChart::build_scalar(&cnf, &word).count_trees(),
+                    "scalar CYK on {:?}",
+                    cnf.decode(&word)
+                );
+            }
+        }
+    }
+}
+
 property! {
     cases = 96;
     /// A chart kept across k appends accepts exactly the prefixes scalar
@@ -304,5 +341,6 @@ fn pinned_ambiguous_counts() {
         let n = CykChart::build(&cnf, &word).count_trees();
         assert_eq!(n, BigUint::from_u64(expect), "a^{len}");
         assert_eq!(CykChart::build_scalar(&cnf, &word).count_trees(), n);
+        assert_eq!(count_trees(&cnf, &word), n);
     }
 }

@@ -19,7 +19,12 @@
 //! * [`StreamSession`] — the deterministic session object the
 //!   `/stream/*` serve endpoints and the `ucfg stream` CLI driver
 //!   operate on, bundling a window, an optional product query, and an
-//!   exact tree counter.
+//!   exact tree counter: an Earley inside pass over the CNF view of the
+//!   grammar ([`ucfg_grammar::earley::InsideCounter`]), built once at
+//!   open, whose counts equal the CYK counts `/parse` serves. A query
+//!   costs O(W²) on a member window of an unambiguous grammar, where
+//!   the CYK chart cost O(W³), and stops where the window's prefix
+//!   dies.
 //!
 //! Everything is deterministic: session ids are FNV digests of the
 //! opening parameters, and every report is a pure function of the token

@@ -13,7 +13,7 @@ use crate::product::ProductQuery;
 use crate::window::WindowParser;
 use std::fmt;
 use std::sync::Arc;
-use ucfg_grammar::cyk::CykChart;
+use ucfg_grammar::earley::InsideCounter;
 use ucfg_grammar::normal_form::CnfGrammar;
 use ucfg_grammar::symbol::Terminal;
 use ucfg_grammar::Grammar;
@@ -98,8 +98,9 @@ pub struct QueryReport {
     pub member: bool,
     /// Window suffixes (incl. the empty one) in `L(G)`.
     pub suffix_matches: usize,
-    /// Exact parse-tree count of the window content (CYK over the CNF
-    /// conversion, same semantics as `/parse`), as a decimal string.
+    /// Exact parse-tree count of the window content, as a decimal
+    /// string: an Earley inside pass over the CNF conversion's view
+    /// ([`InsideCounter`]), equal to the CYK count `/parse` serves.
     pub count: String,
     /// Product-query answers, when a regex is registered.
     pub product: Option<ProductReport>,
@@ -111,7 +112,7 @@ pub struct StreamSession {
     g: Arc<Grammar>,
     window: WindowParser,
     product: Option<ProductQuery>,
-    cnf: CnfGrammar,
+    counter: InsideCounter,
 }
 
 /// Derive the deterministic session id from the opening parameters.
@@ -149,7 +150,7 @@ impl StreamSession {
             Some(r) => Some(ProductQuery::compile(&g, r).map_err(StreamError::BadRegex)?),
             None => None,
         };
-        let cnf = CnfGrammar::from_grammar(&g);
+        let counter = InsideCounter::new(&CnfGrammar::from_grammar(&g));
         let window = WindowParser::new(Arc::clone(&g), capacity);
         if obs::enabled() {
             obs::counter("stream.sessions").add(1);
@@ -159,7 +160,7 @@ impl StreamSession {
             g,
             window,
             product,
-            cnf,
+            counter,
         })
     }
 
@@ -238,10 +239,9 @@ impl StreamSession {
     pub fn query(&self) -> QueryReport {
         let tokens = self.window.window();
         let window: String = self.g.decode(&tokens);
-        let count = match self.cnf.encode(&window) {
-            Some(w) => CykChart::build(&self.cnf, &w).count_trees().to_string(),
-            None => "0".to_string(),
-        };
+        // The CNF conversion keeps the grammar's alphabet, so the window's
+        // tokens are the view's tokens.
+        let count = self.counter.count(&tokens).to_string();
         let product = self.product.as_ref().map(|q| ProductReport {
             nonempty: q.nonempty(),
             dfa_states: q.dfa_states(),

@@ -9,6 +9,9 @@
 //!
 //! * sliding-window membership, suffix counts, and `CFG ∩ regex` match
 //!   counts agree with scalar-CYK reparses of every window suffix;
+//! * every session query's tree count (an Earley inside pass) equals the
+//!   scalar-CYK count of the window, through feeds, evictions and
+//!   truncates;
 //! * everything is bit-identical across `par` thread counts 1 / 2 / 8 —
 //!   the streaming layer is deterministic under the same knob the serve
 //!   matrix varies.
@@ -18,6 +21,7 @@ use ucfg_automata::dfa::Dfa;
 use ucfg_automata::regex::Regex;
 use ucfg_grammar::cyk::CykChart;
 use ucfg_grammar::earley::Chart;
+use ucfg_grammar::language::language_up_to;
 use ucfg_grammar::{CnfGrammar, Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
 use ucfg_stream::{ProductQuery, StreamSession, WindowParser};
 use ucfg_support::prop::Gen;
@@ -94,6 +98,45 @@ property! {
             prop_assert_eq!(w.suffix_match_count(), suffix_members);
             prop_assert_eq!(q.window_matches(&w), product_matches);
             prop_assert_eq!(w.current_member(), member(&stream[lo..=i]));
+        }
+    }
+}
+
+property! {
+    cases = 96;
+    /// Every session query's `count` equals the scalar-CYK tree count of
+    /// the window. Each step feeds a chunk (evicting past the capacity)
+    /// and queries, then rewinds up to `back` tokens (never past the
+    /// window base) and queries again. Half the chunks are words of the
+    /// language fed into an emptied window, so ambiguous windows occur.
+    fn session_counts_equal_cyk(
+        g in rand_grammar,
+        steps in |g: &mut Gen| g.vec_of(1..8, |g| {
+            (g.bool().then(|| g.any_u64()), rand_stream(g), g.int_in(0usize..=3))
+        }),
+        cap in |g: &mut Gen| g.int_in(1usize..=8),
+    ) {
+        let cnf = CnfGrammar::from_grammar(&g);
+        let words: Vec<Vec<Terminal>> = language_up_to(&cnf, 6).into_iter().collect();
+        let mut s = StreamSession::open(Arc::clone(&g), cap, None, "counts").unwrap();
+        for (pick, random, back) in steps {
+            let chunk = match pick {
+                Some(k) if !words.is_empty() => {
+                    let base = s.query().base;
+                    s.truncate(base).unwrap();
+                    words[k as usize % words.len()].clone()
+                }
+                _ => random,
+            };
+            let text: String = chunk.iter().map(|&t| ALPHABET[t.index()]).collect();
+            let fed = s.feed(&text).unwrap();
+            let after_feed = s.query();
+            s.truncate(fed.total.saturating_sub(back as u64).max(fed.base)).unwrap();
+            for q in [after_feed, s.query()] {
+                let window = cnf.encode(&q.window).unwrap();
+                let cyk = CykChart::build_scalar(&cnf, &window).count_trees();
+                prop_assert_eq!(&q.count, &cyk.to_string(), "window {:?}", q.window);
+            }
         }
     }
 }
