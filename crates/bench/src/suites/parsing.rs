@@ -5,12 +5,15 @@ use std::hint::black_box;
 use ucfg_automata::ln_nfa::{exact_nfa, pattern_nfa};
 use ucfg_core::ln_grammars::{appendix_a_grammar, example4_ucfg};
 use ucfg_core::words;
-use ucfg_grammar::cyk::CykChart;
+use ucfg_grammar::cyk::{CykChart, CykRuleIndex};
 use ucfg_grammar::earley::{Earley, InsideCounter};
 use ucfg_grammar::normal_form::CnfGrammar;
 use ucfg_grammar::parse_tree::FixedLenParser;
+use ucfg_grammar::sample::TreeSampler;
 use ucfg_grammar::text::parse_grammar;
+use ucfg_grammar::Terminal;
 use ucfg_support::bench::{Options, Suite};
+use ucfg_support::rng::{Rng, SeedableRng, StdRng};
 
 fn some_words(n: usize, how_many: usize) -> Vec<String> {
     // Deterministic mix of members and non-members of L_n.
@@ -65,6 +68,130 @@ fn bench_count_catalan(suite: &mut Suite) {
     });
     let counter = InsideCounter::new(&cnf);
     g.bench("earley_inside", || counter.count(black_box(&word)));
+}
+
+/// A random grammar of the shape `daemonbench`'s `parse_cold` workload
+/// sends: 24 non-terminals of 5 alternatives over `a`–`d`, the first
+/// terminal-only, the others 2–4 symbols. Its CNF has about 220 rules.
+fn random_cold_grammar(rng: &mut StdRng) -> CnfGrammar {
+    let name = |i: usize| match i {
+        0 => "S".to_string(),
+        _ => format!("N{i}"),
+    };
+    let letter = |rng: &mut StdRng| ["a", "b", "c", "d"][rng.random_range(0..4usize)].to_string();
+    let mut text = String::new();
+    for i in 0..24 {
+        let mut alts: Vec<String> = Vec::new();
+        let first: Vec<String> = (0..rng.random_range(1..=2usize))
+            .map(|_| letter(rng))
+            .collect();
+        alts.push(first.join(" "));
+        for _ in 1..5 {
+            let body: Vec<String> = (0..rng.random_range(2..=4usize))
+                .map(|_| match rng.random_bool(0.5) {
+                    true => letter(rng),
+                    false => name(rng.random_range(0..24usize)),
+                })
+                .collect();
+            alts.push(body.join(" "));
+        }
+        text.push_str(&format!("{} -> {}\n", name(i), alts.join(" | ")));
+    }
+    CnfGrammar::from_grammar(&parse_grammar(&text).expect("generated grammar text parses"))
+}
+
+/// Words grouped by their length.
+type WordsByLen = Vec<(usize, Vec<Vec<Terminal>>)>;
+
+/// Four words of each length in `lens`: two sampled members, and two
+/// sampled members with one letter changed, as `daemonbench` builds its
+/// words. `None` if some length has no member.
+fn sampled_words(cnf: &CnfGrammar, lens: &[usize], rng: &mut StdRng) -> Option<WordsByLen> {
+    let sampler = TreeSampler::new(cnf, *lens.iter().max()?);
+    let letters = cnf.alphabet().len() as u16;
+    let mut out = Vec::new();
+    for &len in lens {
+        let mut words = Vec::new();
+        for j in 0..4 {
+            let member = sampler.sample_word(len, rng)?;
+            let mut w = cnf.encode(&member).expect("a word over the alphabet");
+            if j % 2 == 1 {
+                let i = rng.random_range(0..len);
+                w[i] = Terminal((w[i].0 + rng.random_range(1..letters)) % letters);
+            }
+            words.push(w);
+        }
+        out.push((len, words));
+    }
+    Some(out)
+}
+
+/// Four words of length `2n` for `appendix-a`: two members of `L_n`, and
+/// two words whose every pair at distance `n` avoids `(a, a)`.
+fn ln_words(cnf: &CnfGrammar, n: usize, rng: &mut StdRng) -> Vec<Vec<Terminal>> {
+    (0..4)
+        .map(|j| {
+            let mut w = vec![b'b'; 2 * n];
+            for k in 0..n {
+                let (x, y) =
+                    [(b'a', b'b'), (b'b', b'a'), (b'b', b'b')][rng.random_range(0..3usize)];
+                w[k] = x;
+                w[k + n] = y;
+            }
+            if j % 2 == 0 {
+                let k = rng.random_range(0..n);
+                w[k] = b'a';
+                w[k + n] = b'a';
+            }
+            cnf.encode(std::str::from_utf8(&w).expect("ascii"))
+                .expect("a word over the alphabet")
+        })
+        .collect()
+}
+
+/// `/parse`'s two counting kernels on the same words: the CYK fill +
+/// count against the Earley inside pass, for a Dyck grammar, `appendix-a`
+/// and a `parse_cold`-shaped random grammar, at lengths on both sides of
+/// each one's crossover. `ucfg_serve::cache::INSIDE_PASS_RATIO` is read
+/// off these. Each iteration counts four words; ids end in the length.
+fn bench_parse_count(suite: &mut Suite) {
+    let mut rng = StdRng::seed_from_u64(18);
+    let dyck = CnfGrammar::from_grammar(&parse_grammar("S -> a S b S | ()").unwrap());
+    let words = sampled_words(&dyck, &[16, 32, 64], &mut rng).expect("Dyck words of even length");
+    let mut grammars = vec![("dyck", dyck, words)];
+    for n in [12, 24, 32, 48] {
+        let cnf = CnfGrammar::from_grammar(&appendix_a_grammar(n));
+        let words = ln_words(&cnf, n, &mut rng);
+        grammars.push(("appendix-a", cnf, vec![(2 * n, words)]));
+    }
+    // The first generated grammar with members of every length.
+    grammars.push(loop {
+        let cnf = random_cold_grammar(&mut rng);
+        if let Some(words) = sampled_words(&cnf, &[16, 48, 96, 128], &mut rng) {
+            break ("random", cnf, words);
+        }
+    });
+    let mut g = suite.group("parse_count");
+    for (name, cnf, by_len) in &grammars {
+        let index = CykRuleIndex::new(cnf);
+        let counter = InsideCounter::new(cnf);
+        for (len, words) in by_len {
+            g.bench(&format!("cyk/{name}/{len}"), || {
+                words
+                    .iter()
+                    .map(|w| CykChart::build_with_index(cnf, &index, black_box(w)).count_trees())
+                    .filter(|c| !c.is_zero())
+                    .count()
+            });
+            g.bench(&format!("inside/{name}/{len}"), || {
+                words
+                    .iter()
+                    .map(|w| counter.count(black_box(w)))
+                    .filter(|c| !c.is_zero())
+                    .count()
+            });
+        }
+    }
 }
 
 fn bench_fixed_len_parser(suite: &mut Suite) {
@@ -130,6 +257,7 @@ pub(super) fn build(opts: Options) -> Suite {
     bench_cyk(&mut suite);
     bench_cyk_count(&mut suite);
     bench_count_catalan(&mut suite);
+    bench_parse_count(&mut suite);
     bench_fixed_len_parser(&mut suite);
     bench_earley(&mut suite);
     bench_nfa(&mut suite);

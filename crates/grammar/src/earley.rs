@@ -148,14 +148,12 @@ impl Set {
 
     /// Predict: add `a → •α`, started at `origin`, for every rule of `a`.
     fn predict(&mut self, g: &Grammar, a: NonTerminal, origin: u64) {
-        for (ri, r) in g.rules().iter().enumerate() {
-            if r.lhs == a {
-                self.push(Item {
-                    rule: ri as u32,
-                    dot: 0,
-                    origin,
-                });
-            }
+        for &ri in &g.rules_by_lhs[a.index()] {
+            self.push(Item {
+                rule: ri as u32,
+                dot: 0,
+                origin,
+            });
         }
     }
 
@@ -461,15 +459,13 @@ impl<G: Borrow<Grammar>> Chart<G> {
         predicted.resize(g.nonterminal_count(), false);
         let mut predict = |set: &mut Set, a: NonTerminal| {
             if !std::mem::replace(&mut predicted[a.index()], true) {
-                for (ri, r) in g.rules().iter().enumerate() {
-                    if r.lhs == a {
-                        set.items.push(Item {
-                            rule: ri as u32,
-                            dot: 0,
-                            origin: here,
-                        });
-                        set.counts.push(Count::Small(1));
-                    }
+                for &ri in &g.rules_by_lhs[a.index()] {
+                    set.items.push(Item {
+                        rule: ri as u32,
+                        dot: 0,
+                        origin: here,
+                    });
+                    set.counts.push(Count::Small(1));
                 }
             }
         };
@@ -637,6 +633,7 @@ impl<G: Borrow<Grammar>> Chart<G> {
 /// assert_eq!(counter.count(&cnf.encode("aaaa").unwrap()).to_u64(), Some(5));
 /// assert!(counter.count(&[]).is_zero());
 /// ```
+#[derive(Debug)]
 pub struct InsideCounter {
     view: Grammar,
     accepts_epsilon: bool,

@@ -5,11 +5,16 @@
 //! of blocking) and a scheduler thread drains the queue, groups the
 //! drained parse jobs by grammar hash, resolves each group's compiled
 //! artifact through the [`ArtifactCache`] once, and runs the group as
-//! one batch on the deterministic `ucfg_support::par` pool — one
-//! `build_with_index` chart per word, all sharing the group's
-//! [`CykRuleIndex`](ucfg_grammar::cyk::CykRuleIndex). Rectangle jobs
-//! run one at a time; their kernels spread across the same pool
-//! internally.
+//! one batch on the deterministic `ucfg_support::par` pool. Each word's
+//! parse trees are counted by one of two kernels over the group's CNF,
+//! chosen by word length against grammar size
+//! ([`CountKernel::for_word`](crate::cache::CountKernel::for_word)): a
+//! short word by a `build_with_index` CYK chart on the shared
+//! [`CykRuleIndex`](ucfg_grammar::cyk::CykRuleIndex), a long one by the
+//! Earley inside pass, whose O(n²) work on unambiguous grammars beats
+//! the chart's O(n³) cells once `n²` is large against the rule count.
+//! Rectangle jobs run one at a time; their kernels spread across the
+//! same pool internally.
 //!
 //! Replies travel through a [`ReplySink`] — a one-shot callback — so
 //! the same scheduler serves both the blocking unit tests (sink backed
@@ -92,8 +97,11 @@ pub struct ParseOutcome {
     pub grammar_hash: u64,
     /// Did this request's batch group hit the artifact cache?
     pub cache_hit: bool,
-    /// `Some(true)` when the Earley cross-check ran and agreed;
-    /// a disagreement is answered as an internal error instead.
+    /// `Some(true)` when the `"check": true` cross-check ran and agreed:
+    /// the counting kernel that did not serve recounted the word to the
+    /// same number, and the Earley recogniser on the original grammar
+    /// agreed on membership. A disagreement is answered as an internal
+    /// error instead.
     pub cross_checked: Option<bool>,
 }
 
@@ -106,7 +114,7 @@ pub struct ParseJob {
     pub grammar: Grammar,
     /// The word to test.
     pub word: String,
-    /// Run the Earley cross-check?
+    /// Run the cross-check (see [`ParseOutcome::cross_checked`])?
     pub check: bool,
     /// When the job entered the queue.
     pub enqueued: Instant,
@@ -420,8 +428,6 @@ fn run_one(
     check: bool,
     cache_hit: bool,
 ) -> Result<ParseOutcome, ApiError> {
-    use ucfg_grammar::cyk::CykChart;
-
     let word = match art.cnf.encode(job_word) {
         Some(w) => w,
         None => {
@@ -437,17 +443,23 @@ fn run_one(
         }
     };
 
-    let chart = CykChart::build_with_index(&art.cnf, &art.index, &word);
-    let member = chart.accepted();
-    let count = chart.count_trees();
-    let ambiguous = !count.is_zero() && count != ucfg_grammar::BigUint::one();
+    let kernel = art.kernel(word.len());
+    let count = art.count_with(kernel, &word);
+    let member = !count.is_zero();
+    let ambiguous = member && count != ucfg_grammar::BigUint::one();
 
     let cross_checked = if check {
+        let other = kernel.other();
+        let recount = art.count_with(other, &word);
+        if recount != count {
+            return Err(ApiError::Internal(format!(
+                "differential mismatch on {job_word:?}: {kernel:?} counts {count} vs {other:?} {recount}"
+            )));
+        }
         let earley_member = art.earley().recognize_str(job_word);
         if earley_member != member {
             return Err(ApiError::Internal(format!(
-                "differential mismatch on {:?}: CYK {} vs Earley {}",
-                job_word, member, earley_member
+                "differential mismatch on {job_word:?}: {kernel:?} member {member} vs Earley {earley_member}"
             )));
         }
         Some(true)
@@ -657,6 +669,7 @@ fn run_stream(sessions: &Mutex<SessionStore>, job: StreamJob) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CountKernel;
     use std::sync::mpsc;
 
     fn job(
@@ -844,6 +857,32 @@ mod tests {
         assert!(o.member);
         assert!(o.ambiguous);
         assert_eq!(o.parse_count, "5", "C_3 = 5 trees for aaaa");
+    }
+
+    #[test]
+    fn check_recounts_with_the_kernel_that_did_not_serve() {
+        // S → S S | a has a 2-rule CNF: a⁴ is counted by CYK and checked
+        // by the inside pass, a⁴⁸ the other way round; its Catalan(47)
+        // trees overflow u64.
+        let src = "S -> S S | a";
+        let art = GrammarArtifact::compile(ucfg_grammar::text::parse_grammar(src).unwrap());
+        let (short, long) = ("a".repeat(4), "a".repeat(48));
+        assert_eq!(art.kernel(short.len()), CountKernel::Cyk);
+        assert_eq!(art.kernel(long.len()), CountKernel::Inside);
+
+        let cache = Mutex::new(ArtifactCache::new(4));
+        let sched = Scheduler::new(8, Duration::from_secs(5));
+        let (j1, r1) = job(src, &short, true);
+        let (j2, r2) = job(src, &long, true);
+        sched.try_enqueue(Job::Parse(j1)).unwrap();
+        sched.try_enqueue(Job::Parse(j2)).unwrap();
+        drain_once(&sched, &cache);
+        for (r, count) in [(r1, "5"), (r2, "33868773757191046886429490")] {
+            let o = r.recv().unwrap().unwrap();
+            assert_eq!(o.parse_count, count);
+            assert!(o.member && o.ambiguous);
+            assert_eq!(o.cross_checked, Some(true));
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! binary rebuilds on every run:
 //!
 //! - [`GrammarArtifact`] — the parsed [`Grammar`], its CNF conversion,
-//!   the flat-slab [`CykRuleIndex`], and the Earley nullable table;
+//!   the flat-slab [`CykRuleIndex`], the Earley nullable table, and
+//!   (built on the first long word) the Earley inside pass over the CNF;
 //! - [`RectsArtifact`] — a materialised rectangle family for the
 //!   cover/discrepancy kernels.
 //!
@@ -24,18 +25,73 @@
 
 use crate::protocol::{ApiError, RectFamily, RectRequest};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use ucfg_core::cover::extraction_to_set_rectangles;
 use ucfg_core::extract::extract_cover;
 use ucfg_core::ln_grammars::example4_ucfg;
 use ucfg_core::SetRectangle;
 use ucfg_grammar::analysis::nullable;
-use ucfg_grammar::cyk::CykRuleIndex;
-use ucfg_grammar::earley::Earley;
-use ucfg_grammar::{CnfGrammar, Grammar};
+use ucfg_grammar::cyk::{CykChart, CykRuleIndex};
+use ucfg_grammar::earley::{Earley, InsideCounter};
+use ucfg_grammar::{BigUint, CnfGrammar, Grammar, Terminal};
 use ucfg_support::obs;
 
+/// The threshold between the two counting kernels: a word of `n`
+/// letters over a CNF with `|R|` rules is counted by the Earley inside
+/// pass iff `n² ≥ INSIDE_PASS_RATIO · |R|`, and by the CYK fill
+/// otherwise.
+///
+/// The pass predicts every rule of each predicted non-terminal at every
+/// position, a cost per letter that grows with `|R|`; the bitset CYK
+/// fill pays per cell, and there are `n²/2` cells of up to `n` splits.
+/// So the pass wins once `n²` is large against `|R|`. The
+/// `parsing/parse_count/{cyk,inside}/*` benches (EXPERIMENTS.md, "Which
+/// kernel counts a `/parse` word") put the crossover at `n²/|R|` ≈ 30 on
+/// a random 24-non-terminal grammar (`|R|` = 222), ≈ 85 on `appendix-a`
+/// and ≈ 200 on the Dyck grammar (`|R|` = 8). 64 lies between them,
+/// nearer the large-grammar end: a word sent to the slower kernel costs
+/// milliseconds there and microseconds on a small grammar.
+pub const INSIDE_PASS_RATIO: usize = 64;
+
+/// The kernel that counts a `/parse` word's parse trees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CountKernel {
+    /// A bitset CYK fill ([`CykChart::build_with_index`]) and its count:
+    /// fastest on short words.
+    Cyk,
+    /// The Earley inside pass ([`InsideCounter`]): fastest on words long
+    /// against the grammar.
+    Inside,
+}
+
+impl CountKernel {
+    /// The kernel for a word of `len` letters over a CNF with `rules`
+    /// rules; see [`INSIDE_PASS_RATIO`].
+    pub fn for_word(len: usize, rules: usize) -> CountKernel {
+        if len.saturating_mul(len) >= INSIDE_PASS_RATIO.saturating_mul(rules) {
+            CountKernel::Inside
+        } else {
+            CountKernel::Cyk
+        }
+    }
+
+    /// The kernel that did not serve: the `"check": true` cross-check
+    /// recounts with it.
+    pub(crate) fn other(self) -> CountKernel {
+        match self {
+            CountKernel::Cyk => CountKernel::Inside,
+            CountKernel::Inside => CountKernel::Cyk,
+        }
+    }
+}
+
 /// Everything `/parse` needs, compiled once per distinct grammar hash.
+///
+/// Two kernels count a word's parse trees over the CNF, with equal
+/// results: the CYK fill for short words and the Earley inside pass for
+/// long ones ([`CountKernel::for_word`]). The CYK rule index is built at
+/// compile; the inside pass is built on the first word it counts, so a
+/// grammar that only ever sees short words never pays for it.
 #[derive(Debug)]
 pub struct GrammarArtifact {
     /// The grammar's [`Grammar::content_hash`].
@@ -49,6 +105,8 @@ pub struct GrammarArtifact {
     pub cnf: CnfGrammar,
     /// The flat-slab bitset rule index shared by every chart.
     pub index: CykRuleIndex,
+    /// The inside pass over the CNF, built on first use.
+    inside: OnceLock<InsideCounter>,
 }
 
 impl GrammarArtifact {
@@ -65,6 +123,7 @@ impl GrammarArtifact {
             nullable,
             cnf,
             index,
+            inside: OnceLock::new(),
         })
     }
 
@@ -72,6 +131,28 @@ impl GrammarArtifact {
     /// precomputed table.
     pub fn earley(&self) -> Earley<'_> {
         Earley::with_nullable(&self.grammar, self.nullable.clone())
+    }
+
+    /// The Earley inside pass over [`GrammarArtifact::cnf`], built on the
+    /// first call.
+    fn inside(&self) -> &InsideCounter {
+        self.inside.get_or_init(|| InsideCounter::new(&self.cnf))
+    }
+
+    /// The kernel that counts a word of `len` letters.
+    pub(crate) fn kernel(&self, len: usize) -> CountKernel {
+        CountKernel::for_word(len, self.cnf.rule_count())
+    }
+
+    /// The number of parse trees of `word` (encoded over the CNF's
+    /// alphabet), counted by `kernel`. Both kernels give the same number.
+    pub(crate) fn count_with(&self, kernel: CountKernel, word: &[Terminal]) -> BigUint {
+        match kernel {
+            CountKernel::Cyk => {
+                CykChart::build_with_index(&self.cnf, &self.index, word).count_trees()
+            }
+            CountKernel::Inside => self.inside().count(word),
+        }
     }
 }
 
@@ -249,6 +330,52 @@ mod tests {
         let w = art.cnf.encode("aabb").unwrap();
         let chart = ucfg_grammar::cyk::CykChart::build_with_index(&art.cnf, &art.index, &w);
         assert!(chart.accepted());
+    }
+
+    #[test]
+    fn kernel_follows_word_length_against_grammar_size() {
+        // Dyck: |R| = 8, so a 96-letter word (96² ≥ 64 · 8) goes to the
+        // inside pass.
+        let dyck = GrammarArtifact::compile(
+            ucfg_grammar::text::parse_grammar("S -> a S b S | ()").unwrap(),
+        );
+        assert_eq!(dyck.kernel(96), CountKernel::Inside);
+        // 24 non-terminals × 5 alternatives, the size of a cold-cache
+        // grammar: a 12-letter word stays on CYK.
+        let mut text = String::new();
+        for i in 0..24 {
+            let n = |k: usize| format!("N{}", (i + k) % 24);
+            text.push_str(&format!(
+                "N{i} -> a | b {} | c {} d | {} a {} | d {} b c\n",
+                n(1),
+                n(2),
+                n(3),
+                n(5),
+                n(7)
+            ));
+        }
+        let wide = GrammarArtifact::compile(ucfg_grammar::text::parse_grammar(&text).unwrap());
+        assert!(wide.cnf.rule_count() > 100, "{}", wide.cnf.rule_count());
+        assert_eq!(wide.kernel(12), CountKernel::Cyk);
+        // The boundary itself belongs to the inside pass.
+        let edge = (1..).find(|n| n * n >= INSIDE_PASS_RATIO).unwrap();
+        assert_eq!(CountKernel::for_word(edge, 1), CountKernel::Inside);
+        assert_eq!(CountKernel::for_word(edge - 1, 1), CountKernel::Cyk);
+    }
+
+    #[test]
+    fn inside_pass_is_built_on_first_use() {
+        let art =
+            GrammarArtifact::compile(ucfg_grammar::text::parse_grammar("S -> S S | a").unwrap());
+        assert!(
+            art.inside.get().is_none(),
+            "compile leaves the pass unbuilt"
+        );
+        let word = art.cnf.encode("aaaa").unwrap();
+        assert_eq!(art.count_with(CountKernel::Cyk, &word).to_u64(), Some(5));
+        assert!(art.inside.get().is_none(), "CYK counts without it");
+        assert_eq!(art.count_with(CountKernel::Inside, &word).to_u64(), Some(5));
+        assert!(art.inside.get().is_some());
     }
 
     #[test]

@@ -227,8 +227,10 @@ pub struct ParseRequest {
     pub spec: GrammarSpec,
     /// The word to test.
     pub word: String,
-    /// Cross-check CYK membership against Earley on the original
-    /// (pre-CNF) grammar.
+    /// Cross-check the answer: recount the word with the counting
+    /// kernel that did not serve (CYK fill or Earley inside pass) and
+    /// compare the counts, and compare membership with the Earley
+    /// recogniser on the original (pre-CNF) grammar.
     pub check: bool,
 }
 
