@@ -1,9 +1,9 @@
 //! The experiment suite: one function per table/figure of DESIGN.md §5.
 //!
-//! Each function returns the rendered table as a `String`; the `report`
-//! binary prints them, and EXPERIMENTS.md records their output. Everything
-//! here is *checked* computation — the functions assert the paper's claims
-//! as they tabulate them, so `report` doubles as an end-to-end test.
+//! Each function returns the rendered table as a `String`; `ucfg report`
+//! prints them, and EXPERIMENTS.md records their output. Everything here
+//! is *checked* computation — the functions assert the paper's claims as
+//! they tabulate them, so `ucfg report` doubles as an end-to-end test.
 
 use std::fmt::Write as _;
 use ucfg_automata::convert::dfa_to_grammar;

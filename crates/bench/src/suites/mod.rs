@@ -1,12 +1,12 @@
 //! The bench-suite registry: every suite as an in-process library
-//! function, plus the single list of suite names that the `bench`
-//! binary, the orchestrator, and CI all share.
+//! function, plus the single list of suite names that `ucfg bench`, the
+//! orchestrator, and CI all share.
 //!
 //! Each suite module exposes `build(opts) -> Suite`: it constructs the
 //! suite, executes every registered benchmark under the given options
 //! (timed, `--smoke`, or `--list`), and returns the suite with its
 //! records so the caller can write `out/BENCH_<suite>.json` via
-//! [`Suite::finish`] or read the JSON lines directly. `bench <suite>`
+//! [`Suite::finish`] or read the JSON lines directly. `ucfg bench <suite>`
 //! and `ucfg orchestrate` both call [`build`], so the suite bodies live
 //! in exactly one place and the two cannot drift apart.
 
@@ -24,7 +24,7 @@ mod wordset_kernels;
 
 /// Every bench suite, in canonical order. This is the single source of
 /// truth for "the nine bench suites": CI's bench-smoke job iterates
-/// `bench --list` (which prints this), and the orchestrator's job matrix
+/// `ucfg bench --list` (which prints this), and the orchestrator's job matrix
 /// is generated from it, so a suite added here is automatically picked
 /// up by both.
 pub const ALL_SUITES: &[&str] = &[
@@ -67,7 +67,10 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), ALL_SUITES.len(), "duplicate suite name");
         for name in ALL_SUITES {
-            let opts = Options::parse(["--list".to_string()].into_iter()).unwrap();
+            let opts = Options {
+                list: true,
+                ..Options::default()
+            };
             let suite = build(name, opts).expect("registered suite builds");
             assert!(
                 !suite.listed_ids().is_empty(),

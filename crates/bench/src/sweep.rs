@@ -1,6 +1,7 @@
 //! The Theorem 1 separation sweep as a library: a deterministic,
 //! thread-parallel `n`-sweep rendered to the CSV consumed by the plotting
-//! scripts. The `sweep` binary is a thin wrapper around [`sweep_csv`].
+//! scripts. `ucfg sweep` is a thin wrapper around [`sweep_csv`] and
+//! [`kernel_sweep_csv`].
 //!
 //! Rows are computed on the [`ucfg_support::par`] layer, so worker counts
 //! (including the `UCFG_THREADS` override) never change the bytes of the

@@ -1,13 +1,23 @@
 //! # ucfg-cli — command implementations
 //!
 //! The logic behind the `ucfg` binary, kept in a library so every command
-//! is unit-testable. Commands operate on the paper's language `L_n`, on
-//! grammars in the text format of `ucfg_grammar::text`, and on the
-//! lower-bound machinery of `ucfg-core`.
+//! is unit-testable: [`parse`] reads a command line against each
+//! command's flag table, and [`run`] runs it. Commands operate on the
+//! paper's language `L_n`, on grammars in the text format of
+//! `ucfg_grammar::text`, on the lower-bound machinery of `ucfg-core`, on
+//! the `ucfg-serve` daemon, and on the experiment report, sweeps and
+//! bench suites of `ucfg-bench`.
 
 #![warn(missing_docs)]
 
+mod args;
+
+pub use args::{parse, usage, Invocation};
 use std::fmt::Write as _;
+use std::io::Read;
+use std::path::PathBuf;
+use std::time::Duration;
+use ucfg_bench::suites::ALL_SUITES;
 use ucfg_core::extract::extract_cover;
 use ucfg_core::ln_grammars::{appendix_a_grammar, example3_grammar, example4_ucfg};
 use ucfg_core::separation::separation_row;
@@ -17,6 +27,8 @@ use ucfg_grammar::language::finite_language;
 use ucfg_grammar::lint;
 use ucfg_grammar::normal_form::CnfGrammar;
 use ucfg_grammar::text::{parse_grammar, print_grammar};
+use ucfg_serve::client::DEFAULT_READ_TIMEOUT;
+use ucfg_support::bench::Options;
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -374,218 +386,98 @@ pub fn cmd_determinize(src: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parsed flags for `ucfg serve`. Thread flags are stripped by
-/// [`dispatch`] before these are parsed, so `--threads`/-j` compose with
-/// every option here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeArgs {
-    /// Interface to bind (default loopback).
-    pub host: String,
-    /// TCP port (default 7878; `0` asks the OS for an ephemeral port).
-    pub port: u16,
-    /// Bounded batch-queue depth.
-    pub queue_depth: usize,
-    /// Per-request queue deadline in milliseconds.
-    pub deadline_ms: u64,
-    /// Artifact-cache capacity in entries (total across shards).
-    pub cache_capacity: usize,
-    /// Maximum concurrent connections (accept backpressure beyond).
-    pub max_connections: usize,
-    /// Worker shards (per-shard cache + batch queue).
-    pub shards: usize,
-    /// Largest accepted request body in bytes.
-    pub max_body_bytes: usize,
-    /// Per-request header+body deadline in milliseconds.
-    pub request_timeout_ms: u64,
-    /// Close connections with no forward progress for this long (ms).
-    pub idle_timeout_ms: u64,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        let d = ucfg_serve::ServeConfig::default();
-        ServeArgs {
-            host: d.host,
-            port: d.port,
-            queue_depth: d.queue_depth,
-            deadline_ms: d.deadline_ms,
-            cache_capacity: d.cache_capacity,
-            max_connections: d.max_connections,
-            shards: d.shards,
-            max_body_bytes: d.max_body_bytes,
-            request_timeout_ms: d.request_timeout_ms,
-            idle_timeout_ms: d.idle_timeout_ms,
-        }
-    }
-}
-
-/// Pop the value for a `--flag VALUE` / `--flag=VALUE` pair. Returns
-/// `Ok(None)` when `args[*i]` is not this flag; advances `*i` past the
-/// consumed tokens otherwise.
-fn flag_value(args: &[String], i: &mut usize, name: &str) -> Result<Option<String>, CliError> {
-    let arg = &args[*i];
-    if let Some(v) = arg.strip_prefix(&format!("{name}=")) {
-        *i += 1;
-        return Ok(Some(v.to_string()));
-    }
-    if arg == name {
-        let v = args
-            .get(*i + 1)
-            .ok_or_else(|| err(format!("{name} needs a value")))?;
-        *i += 2;
-        return Ok(Some(v.clone()));
-    }
-    Ok(None)
-}
-
-fn parse_port(s: &str) -> Result<u16, CliError> {
-    s.parse()
-        .map_err(|_| err(format!("not a valid port: {s:?} (expected 0..=65535)")))
-}
-
-fn parse_positive<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, CliError> {
-    s.parse()
-        .map_err(|_| err(format!("not a valid {what}: {s:?}")))
-}
-
-/// Parse the flags of `ucfg serve`.
-pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
-    let mut out = ServeArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = flag_value(args, &mut i, "--port")? {
-            out.port = parse_port(&v)?;
-        } else if let Some(v) = flag_value(args, &mut i, "--host")? {
-            out.host = v;
-        } else if let Some(v) = flag_value(args, &mut i, "--queue-depth")? {
-            out.queue_depth = parse_positive(&v, "queue depth")?;
-        } else if let Some(v) = flag_value(args, &mut i, "--deadline-ms")? {
-            out.deadline_ms = parse_positive(&v, "deadline")?;
-        } else if let Some(v) = flag_value(args, &mut i, "--cache-capacity")? {
-            out.cache_capacity = parse_positive(&v, "cache capacity")?;
-        } else if let Some(v) = flag_value(args, &mut i, "--max-connections")? {
-            out.max_connections = parse_positive(&v, "connection bound")?;
-        } else if let Some(v) = flag_value(args, &mut i, "--shards")? {
-            out.shards = parse_positive(&v, "shard count")?;
-        } else if let Some(v) = flag_value(args, &mut i, "--max-body-bytes")? {
-            out.max_body_bytes = parse_positive(&v, "body bound")?;
-        } else if let Some(v) = flag_value(args, &mut i, "--request-timeout-ms")? {
-            out.request_timeout_ms = parse_positive(&v, "request timeout")?;
-        } else if let Some(v) = flag_value(args, &mut i, "--idle-timeout-ms")? {
-            out.idle_timeout_ms = parse_positive(&v, "idle timeout")?;
-        } else {
-            return Err(err(format!("unrecognised serve flag: {}", args[i])));
-        }
-    }
-    Ok(out)
-}
-
 /// `ucfg serve [--port N] [--host H] [...]` — run the query daemon.
 ///
 /// Blocks until SIGTERM / ctrl-c / `POST /shutdown`, then drains
 /// in-flight batches and returns a one-line summary. The metrics layer
-/// is always on for the daemon; `out/METRICS_serve.json` (honouring
-/// `$UCFG_OUT_DIR`) is written after the graceful drain. The listening
-/// address goes to stderr *before* the accept loop starts so scripts
-/// can synchronise on it.
-pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    let sa = parse_serve_args(args)?;
+/// is always on for the daemon, so the binary writes
+/// `out/METRICS_serve.json` (honouring `$UCFG_OUT_DIR`) after the
+/// graceful drain. The listening address goes to stderr *before* the
+/// accept loop starts so scripts can synchronise on it.
+pub fn cmd_serve(a: &Invocation) -> Result<String, CliError> {
+    let config = serve_config(a)?;
+    let shards = config.shards;
     ucfg_support::obs::set_enabled(true);
     ucfg_serve::Server::install_signal_handlers();
-    let server = ucfg_serve::Server::bind(ucfg_serve::ServeConfig {
-        host: sa.host,
-        port: sa.port,
-        queue_depth: sa.queue_depth,
-        deadline_ms: sa.deadline_ms,
-        cache_capacity: sa.cache_capacity,
-        max_connections: sa.max_connections,
-        shards: sa.shards,
-        max_body_bytes: sa.max_body_bytes,
-        request_timeout_ms: sa.request_timeout_ms,
-        idle_timeout_ms: sa.idle_timeout_ms,
-    })
-    .map_err(|e| err(format!("bind failed: {e}")))?;
+    let server = ucfg_serve::Server::bind(config).map_err(|e| err(format!("bind failed: {e}")))?;
     let addr = server
         .local_addr()
         .map_err(|e| err(format!("no local address: {e}")))?;
     let threads = ucfg_support::par::thread_count();
     eprintln!(
-        "ucfg-serve listening on {addr} ({threads} thread{}, {} shard{})",
+        "ucfg-serve listening on {addr} ({threads} thread{}, {shards} shard{})",
         if threads == 1 { "" } else { "s" },
-        sa.shards,
-        if sa.shards == 1 { "" } else { "s" }
+        if shards == 1 { "" } else { "s" }
     );
     let summary = server
         .run()
         .map_err(|e| err(format!("server error: {e}")))?;
-    let metrics = ucfg_support::obs::write_metrics("serve")
-        .map_err(|e| err(format!("could not write metrics: {e}")))?;
-    Ok(format!(
-        "served {} requests; metrics written to {}\n",
-        summary.requests,
-        metrics.display()
-    ))
+    Ok(format!("served {} requests\n", summary.requests))
 }
 
-/// Parsed flags for `ucfg query`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryArgs {
-    /// Daemon host (default loopback).
-    pub host: String,
-    /// Daemon port — required; there is no default so a stray `query`
-    /// can't silently talk to an unrelated local service.
-    pub port: u16,
-    /// Script file (JSON lines); `None` means the script came on stdin.
-    pub file: Option<String>,
-    /// Send `POST /shutdown` after the script.
-    pub shutdown: bool,
-    /// Per-response read timeout in milliseconds; `None` uses the
-    /// client default ([`ucfg_serve::client::DEFAULT_READ_TIMEOUT`]).
-    pub timeout_ms: Option<u64>,
-}
-
-/// Parse the flags of `ucfg query`.
-pub fn parse_query_args(args: &[String]) -> Result<QueryArgs, CliError> {
-    let mut host = "127.0.0.1".to_string();
-    let mut port: Option<u16> = None;
-    let mut file = None;
-    let mut shutdown = false;
-    let mut timeout_ms = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = flag_value(args, &mut i, "--port")? {
-            port = Some(parse_port(&v)?);
-        } else if let Some(v) = flag_value(args, &mut i, "--host")? {
-            host = v;
-        } else if let Some(v) = flag_value(args, &mut i, "--file")? {
-            file = Some(v);
-        } else if let Some(v) = flag_value(args, &mut i, "--timeout-ms")? {
-            let ms: u64 = parse_positive(&v, "timeout")?;
-            if ms == 0 {
-                return Err(err("--timeout-ms must be ≥ 1"));
-            }
-            timeout_ms = Some(ms);
-        } else if args[i] == "--shutdown" {
-            shutdown = true;
-            i += 1;
-        } else {
-            return Err(err(format!("unrecognised query flag: {}", args[i])));
-        }
-    }
-    let port = port.ok_or_else(|| err("query needs --port N"))?;
-    Ok(QueryArgs {
-        host,
-        port,
-        file,
-        shutdown,
-        timeout_ms,
+/// The daemon configuration `ucfg serve`'s flags ask for.
+fn serve_config(a: &Invocation) -> Result<ucfg_serve::ServeConfig, CliError> {
+    let d = ucfg_serve::ServeConfig::default();
+    Ok(ucfg_serve::ServeConfig {
+        host: a.value("--host").map_or(d.host, str::to_string),
+        port: a.num("--port")?.unwrap_or(d.port),
+        queue_depth: a.num("--queue-depth")?.unwrap_or(d.queue_depth),
+        deadline_ms: a.num("--deadline-ms")?.unwrap_or(d.deadline_ms),
+        cache_capacity: a.num("--cache-capacity")?.unwrap_or(d.cache_capacity),
+        max_connections: a.num("--max-connections")?.unwrap_or(d.max_connections),
+        shards: a.num("--shards")?.unwrap_or(d.shards),
+        max_body_bytes: a.num("--max-body-bytes")?.unwrap_or(d.max_body_bytes),
+        request_timeout_ms: a
+            .num("--request-timeout-ms")?
+            .unwrap_or(d.request_timeout_ms),
+        idle_timeout_ms: a.num("--idle-timeout-ms")?.unwrap_or(d.idle_timeout_ms),
     })
+}
+
+/// The daemon address and per-response read timeout of `query` and
+/// `stream`. The port is required: there is no default, so a stray
+/// client can't silently talk to an unrelated local service.
+fn daemon(a: &Invocation) -> Result<(String, Duration), CliError> {
+    let port: u16 = a
+        .num("--port")?
+        .ok_or_else(|| err(format!("{} needs --port N", a.name())))?;
+    let timeout = a
+        .count("--timeout-ms")?
+        .map_or(DEFAULT_READ_TIMEOUT, |ms| Duration::from_millis(ms as u64));
+    let host = a.value("--host").unwrap_or("127.0.0.1");
+    Ok((format!("{host}:{port}"), timeout))
+}
+
+fn connect((addr, timeout): &(String, Duration)) -> Result<ucfg_serve::Client, CliError> {
+    ucfg_serve::Client::connect_retry_with(addr, Duration::from_secs(10), Some(*timeout))
+        .map_err(|e| err(format!("could not connect to {addr}: {e}")))
+}
+
+/// Send one request and append its `<status> <body>` line to `out`.
+fn send(
+    client: &mut ucfg_serve::Client,
+    out: &mut String,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> Result<(u16, String), CliError> {
+    let r = client
+        .request(method, path, body)
+        .map_err(|e| err(format!("{path} request failed: {e}")))?;
+    let line = r.body.trim_end_matches('\n').to_string();
+    let _ = writeln!(out, "{} {line}", r.status);
+    Ok((r.status, line))
+}
+
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| err(format!("could not read {path}: {e}")))
 }
 
 /// `ucfg query --port N [--file script.jsonl] [--shutdown]
 /// [--timeout-ms N]` — drive a running daemon with a script of JSON
-/// lines. `--timeout-ms` bounds each response read (default 30 s) so a
-/// wedged daemon fails the script fast.
+/// lines, read from `--file` or else from `stdin`. `--timeout-ms` bounds
+/// each response read (default 30 s) so a wedged daemon fails the
+/// script fast.
 ///
 /// Each non-empty, non-`#` line is a JSON object whose `"path"` key
 /// routes the request; an optional `"method"` overrides the verb and
@@ -595,25 +487,13 @@ pub fn parse_query_args(args: &[String]) -> Result<QueryArgs, CliError> {
 /// `{"path": "/parse", "grammar": "S -> a", "word": "a"}` parses.
 /// The output is one `<status> <body>` line per request, in script
 /// order, suitable for byte-comparison across daemon configurations.
-pub fn cmd_query(args: &[String], stdin: &str) -> Result<String, CliError> {
-    let qa = parse_query_args(args)?;
-    let script = match &qa.file {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| err(format!("could not read {path}: {e}")))?
-        }
-        None => stdin.to_string(),
+pub fn cmd_query(a: &Invocation, stdin: &mut dyn Read) -> Result<String, CliError> {
+    let target = daemon(a)?;
+    let script = match a.value("--file") {
+        Some(path) => read_file(path)?,
+        None => read_all(stdin)?,
     };
-    let addr = format!("{}:{}", qa.host, qa.port);
-    let read_timeout = qa
-        .timeout_ms
-        .map(std::time::Duration::from_millis)
-        .unwrap_or(ucfg_serve::client::DEFAULT_READ_TIMEOUT);
-    let mut client = ucfg_serve::Client::connect_retry_with(
-        &addr,
-        std::time::Duration::from_secs(10),
-        Some(read_timeout),
-    )
-    .map_err(|e| err(format!("could not connect to {addr}: {e}")))?;
+    let mut client = connect(&target)?;
     let mut out = String::new();
     for (lineno, line) in script.lines().enumerate() {
         let line = line.trim();
@@ -651,126 +531,13 @@ pub fn cmd_query(args: &[String], stdin: &str) -> Result<String, CliError> {
         };
         let method =
             method.unwrap_or_else(|| if body.is_none() { "GET" } else { "POST" }.to_string());
-        let r = client
-            .request(&method, &path, body.as_deref())
-            .map_err(|e| err(format!("script line {}: request failed: {e}", lineno + 1)))?;
-        let _ = writeln!(out, "{} {}", r.status, r.body.trim_end_matches('\n'));
+        send(&mut client, &mut out, &method, &path, body.as_deref())
+            .map_err(|e| err(format!("script line {}: {e}", lineno + 1)))?;
     }
-    if qa.shutdown {
-        let r = client
-            .request("POST", "/shutdown", None)
-            .map_err(|e| err(format!("shutdown request failed: {e}")))?;
-        let _ = writeln!(out, "{} {}", r.status, r.body.trim_end_matches('\n'));
+    if a.has("--shutdown") {
+        send(&mut client, &mut out, "POST", "/shutdown", None)?;
     }
     Ok(out)
-}
-
-/// Parsed flags for `ucfg stream`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamArgs {
-    /// Daemon host (default loopback).
-    pub host: String,
-    /// Daemon port — required, like `ucfg query`.
-    pub port: u16,
-    /// Inline grammar text (mutually exclusive with `builtin`).
-    pub grammar: Option<String>,
-    /// Builtin family name (needs `n`).
-    pub builtin: Option<String>,
-    /// Builtin parameter.
-    pub n: Option<u64>,
-    /// Sliding-window capacity.
-    pub window: usize,
-    /// Optional product regex.
-    pub regex: Option<String>,
-    /// Session tag (defaults to empty).
-    pub name: String,
-    /// Token file; `None` means `--text` supplies the stream.
-    pub file: Option<String>,
-    /// Inline token text.
-    pub text: Option<String>,
-    /// Feed chunk size in characters.
-    pub chunk: usize,
-    /// Per-response read timeout override.
-    pub timeout_ms: Option<u64>,
-    /// Send `POST /shutdown` after closing the session.
-    pub shutdown: bool,
-}
-
-/// Parse the flags of `ucfg stream`.
-pub fn parse_stream_args(args: &[String]) -> Result<StreamArgs, CliError> {
-    let mut sa = StreamArgs {
-        host: "127.0.0.1".into(),
-        port: 0,
-        grammar: None,
-        builtin: None,
-        n: None,
-        window: 64,
-        regex: None,
-        name: String::new(),
-        file: None,
-        text: None,
-        chunk: 16,
-        timeout_ms: None,
-        shutdown: false,
-    };
-    let mut port: Option<u16> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = flag_value(args, &mut i, "--port")? {
-            port = Some(parse_port(&v)?);
-        } else if let Some(v) = flag_value(args, &mut i, "--host")? {
-            sa.host = v;
-        } else if let Some(v) = flag_value(args, &mut i, "--grammar")? {
-            sa.grammar = Some(v);
-        } else if let Some(v) = flag_value(args, &mut i, "--builtin")? {
-            sa.builtin = Some(v);
-        } else if let Some(v) = flag_value(args, &mut i, "--n")? {
-            sa.n = Some(parse_positive(&v, "n")?);
-        } else if let Some(v) = flag_value(args, &mut i, "--window")? {
-            sa.window = parse_positive::<usize>(&v, "window")?;
-            if sa.window == 0 {
-                return Err(err("--window must be ≥ 1"));
-            }
-        } else if let Some(v) = flag_value(args, &mut i, "--regex")? {
-            sa.regex = Some(v);
-        } else if let Some(v) = flag_value(args, &mut i, "--name")? {
-            sa.name = v;
-        } else if let Some(v) = flag_value(args, &mut i, "--file")? {
-            sa.file = Some(v);
-        } else if let Some(v) = flag_value(args, &mut i, "--text")? {
-            sa.text = Some(v);
-        } else if let Some(v) = flag_value(args, &mut i, "--chunk")? {
-            sa.chunk = parse_positive::<usize>(&v, "chunk")?;
-            if sa.chunk == 0 {
-                return Err(err("--chunk must be ≥ 1"));
-            }
-        } else if let Some(v) = flag_value(args, &mut i, "--timeout-ms")? {
-            let ms: u64 = parse_positive(&v, "timeout")?;
-            if ms == 0 {
-                return Err(err("--timeout-ms must be ≥ 1"));
-            }
-            sa.timeout_ms = Some(ms);
-        } else if args[i] == "--shutdown" {
-            sa.shutdown = true;
-            i += 1;
-        } else {
-            return Err(err(format!("unrecognised stream flag: {}", args[i])));
-        }
-    }
-    sa.port = port.ok_or_else(|| err("stream needs --port N"))?;
-    match (&sa.grammar, &sa.builtin) {
-        (Some(_), Some(_)) => return Err(err("give --grammar or --builtin, not both")),
-        (None, None) => return Err(err("stream needs --grammar SRC or --builtin NAME --n N")),
-        (None, Some(_)) if sa.n.is_none() => return Err(err("--builtin needs --n N")),
-        _ => {}
-    }
-    if sa.file.is_some() && sa.text.is_some() {
-        return Err(err("give --file or --text, not both"));
-    }
-    if sa.file.is_none() && sa.text.is_none() {
-        return Err(err("stream needs --file tokens.txt or --text CHARS"));
-    }
-    Ok(sa)
 }
 
 /// `ucfg stream --port N (--grammar SRC | --builtin NAME --n N)
@@ -784,65 +551,40 @@ pub fn parse_stream_args(args: &[String]) -> Result<StreamArgs, CliError> {
 /// The output is one `<status> <body>` line per request, in order
 /// (open, each feed, query, close), suitable for byte-comparison
 /// across daemon thread counts and shard layouts.
-pub fn cmd_stream(args: &[String]) -> Result<String, CliError> {
-    let sa = parse_stream_args(args)?;
-    let tokens: String = match &sa.file {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| err(format!("could not read {path}: {e}")))?
+pub fn cmd_stream(a: &Invocation) -> Result<String, CliError> {
+    use ucfg_serve::Json;
+    let target = daemon(a)?;
+    let n: Option<u64> = a.num("--n")?;
+    let mut open = match (a.value("--grammar"), a.value("--builtin")) {
+        (Some(g), None) => vec![("grammar", Json::str(g))],
+        (None, Some(b)) => {
+            let n = n.ok_or_else(|| err("--builtin needs --n N"))?;
+            vec![("builtin", Json::str(b)), ("n", Json::Int(n as i64))]
         }
-        None => sa.text.clone().unwrap_or_default(),
+        (Some(_), Some(_)) => return Err(err("give --grammar or --builtin, not both")),
+        (None, None) => return Err(err("stream needs --grammar SRC or --builtin NAME --n N")),
+    };
+    let window = a.count("--window")?.unwrap_or(64);
+    open.push(("window", Json::Int(window as i64)));
+    if let Some(r) = a.value("--regex") {
+        open.push(("regex", Json::str(r)));
+    }
+    open.push(("name", Json::str(a.value("--name").unwrap_or_default())));
+    let tokens: Vec<char> = match (a.value("--file"), a.value("--text")) {
+        (Some(path), None) => read_file(path)?,
+        (None, Some(text)) => text.to_string(),
+        (Some(_), Some(_)) => return Err(err("give --file or --text, not both")),
+        (None, None) => return Err(err("stream needs --file tokens.txt or --text CHARS")),
     }
     .chars()
     .filter(|c| !c.is_whitespace())
     .collect();
-    let addr = format!("{}:{}", sa.host, sa.port);
-    let read_timeout = sa
-        .timeout_ms
-        .map(std::time::Duration::from_millis)
-        .unwrap_or(ucfg_serve::client::DEFAULT_READ_TIMEOUT);
-    let mut client = ucfg_serve::Client::connect_retry_with(
-        &addr,
-        std::time::Duration::from_secs(10),
-        Some(read_timeout),
-    )
-    .map_err(|e| err(format!("could not connect to {addr}: {e}")))?;
-
-    use ucfg_serve::Json;
-    let mut open = Vec::new();
-    match (&sa.grammar, &sa.builtin) {
-        (Some(g), None) => open.push(("grammar".to_string(), Json::Str(g.clone()))),
-        (None, Some(b)) => {
-            open.push(("builtin".to_string(), Json::Str(b.clone())));
-            open.push(("n".to_string(), Json::Int(sa.n.unwrap_or(0) as i64)));
-        }
-        _ => unreachable!("parse_stream_args enforces exactly one"),
-    }
-    open.push(("window".to_string(), Json::Int(sa.window as i64)));
-    if let Some(r) = &sa.regex {
-        open.push(("regex".to_string(), Json::Str(r.clone())));
-    }
-    open.push(("name".to_string(), Json::Str(sa.name.clone())));
+    let chunk = a.count("--chunk")?.unwrap_or(16);
+    let mut client = connect(&target)?;
 
     let mut out = String::new();
-    let send = |client: &mut ucfg_serve::Client,
-                out: &mut String,
-                path: &str,
-                body: String|
-     -> Result<(u16, String), CliError> {
-        let r = client
-            .request("POST", path, Some(&body))
-            .map_err(|e| err(format!("{path} request failed: {e}")))?;
-        let line = r.body.trim_end_matches('\n').to_string();
-        let _ = writeln!(out, "{} {}", r.status, line);
-        Ok((r.status, line))
-    };
-
-    let (status, body) = send(
-        &mut client,
-        &mut out,
-        "/stream/open",
-        Json::Obj(open).render(),
-    )?;
+    let open = Json::obj(open).render();
+    let (status, body) = send(&mut client, &mut out, "POST", "/stream/open", Some(&open))?;
     if status != 200 {
         return Err(err(format!("open failed: {status} {body}")));
     }
@@ -851,86 +593,25 @@ pub fn cmd_stream(args: &[String]) -> Result<String, CliError> {
         .and_then(|v| v.get("session").and_then(Json::as_str).map(str::to_string))
         .ok_or_else(|| err(format!("open response has no session id: {body}")))?;
 
-    let chars: Vec<char> = tokens.chars().collect();
-    for slice in chars.chunks(sa.chunk) {
-        let chunk: String = slice.iter().collect();
-        let body = Json::Obj(vec![
-            ("session".to_string(), Json::Str(session.clone())),
-            ("tokens".to_string(), Json::Str(chunk)),
+    for slice in tokens.chunks(chunk) {
+        let feed = Json::obj(vec![
+            ("session", Json::str(&session)),
+            ("tokens", Json::str(slice.iter().collect::<String>())),
         ])
         .render();
-        let (status, body) = send(&mut client, &mut out, "/stream/feed", body)?;
+        let (status, body) = send(&mut client, &mut out, "POST", "/stream/feed", Some(&feed))?;
         if status != 200 {
             return Err(err(format!("feed failed: {status} {body}")));
         }
     }
 
-    let sess_body = Json::Obj(vec![("session".to_string(), Json::Str(session.clone()))]).render();
-    send(&mut client, &mut out, "/stream/query", sess_body.clone())?;
-    send(&mut client, &mut out, "/stream/close", sess_body)?;
-    if sa.shutdown {
-        let r = client
-            .request("POST", "/shutdown", None)
-            .map_err(|e| err(format!("shutdown request failed: {e}")))?;
-        let _ = writeln!(out, "{} {}", r.status, r.body.trim_end_matches('\n'));
+    let sess = Json::obj(vec![("session", Json::str(session))]).render();
+    send(&mut client, &mut out, "POST", "/stream/query", Some(&sess))?;
+    send(&mut client, &mut out, "POST", "/stream/close", Some(&sess))?;
+    if a.has("--shutdown") {
+        send(&mut client, &mut out, "POST", "/shutdown", None)?;
     }
     Ok(out)
-}
-
-/// Parse the flags of `ucfg orchestrate`.
-pub fn parse_orchestrate_args(
-    args: &[String],
-) -> Result<ucfg_bench::orchestrate::Config, CliError> {
-    let mut cfg = ucfg_bench::orchestrate::Config::default();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = flag_value(args, &mut i, "--baseline")? {
-            cfg.baseline_path = Some(v.into());
-        } else if let Some(v) = flag_value(args, &mut i, "--out-dir")? {
-            cfg.out_dir = Some(v.into());
-        } else if let Some(v) = flag_value(args, &mut i, "--cache-dir")? {
-            cfg.cache_dir = Some(v.into());
-        } else if let Some(v) = flag_value(args, &mut i, "--tolerance")? {
-            let r: f64 = v
-                .parse()
-                .map_err(|_| err(format!("not a valid tolerance ratio: {v:?}")))?;
-            if r.is_nan() || r < 1.0 {
-                return Err(err(format!("--tolerance must be ≥ 1.0, got {v}")));
-            }
-            cfg.max_ratio = Some(r);
-        } else if let Some(v) = flag_value(args, &mut i, "--floor-ns")? {
-            let f: f64 = v
-                .parse()
-                .map_err(|_| err(format!("not a valid noise floor: {v:?}")))?;
-            if f.is_nan() || f < 0.0 {
-                return Err(err(format!("--floor-ns must be ≥ 0, got {v}")));
-            }
-            cfg.floor_ns = Some(f);
-        } else if let Some(v) = flag_value(args, &mut i, "--filter")? {
-            cfg.filter = Some(v);
-        } else if args[i] == "--smoke" {
-            cfg.smoke = true;
-            i += 1;
-        } else if args[i] == "--check" {
-            cfg.check = true;
-            i += 1;
-        } else if args[i] == "--write-baseline" {
-            cfg.write_baseline = true;
-            i += 1;
-        } else if args[i] == "--refresh" {
-            cfg.refresh = true;
-            i += 1;
-        } else if args[i] == "--list" {
-            cfg.list = true;
-            i += 1;
-        } else if !args[i].starts_with('-') && cfg.filter.is_none() {
-            cfg.filter = Some(args[i].clone());
-            i += 1;
-        } else {
-            return Err(err(format!("unrecognised orchestrate flag: {}", args[i])));
-        }
-    }
-    Ok(cfg)
 }
 
 /// `ucfg orchestrate [--smoke] [--check] [--write-baseline] …` — run the
@@ -939,8 +620,34 @@ pub fn parse_orchestrate_args(
 ///
 /// Exits nonzero (via `Err`) when a job fails or — under `--check` — a
 /// baseline comparison regresses.
-pub fn cmd_orchestrate(args: &[String]) -> Result<String, CliError> {
-    let cfg = parse_orchestrate_args(args)?;
+pub fn cmd_orchestrate(a: &Invocation) -> Result<String, CliError> {
+    if a.has("--filter") && !a.args.is_empty() {
+        return Err(a.misuse());
+    }
+    let max_ratio = a.num::<f64>("--tolerance")?;
+    if let Some(r) = max_ratio.filter(|r| r.is_nan() || *r < 1.0) {
+        return Err(err(format!("--tolerance must be ≥ 1.0, got {r}")));
+    }
+    let floor_ns = a.num::<f64>("--floor-ns")?;
+    if let Some(f) = floor_ns.filter(|f| f.is_nan() || *f < 0.0) {
+        return Err(err(format!("--floor-ns must be ≥ 0, got {f}")));
+    }
+    let cfg = ucfg_bench::orchestrate::Config {
+        smoke: a.has("--smoke"),
+        check: a.has("--check"),
+        write_baseline: a.has("--write-baseline"),
+        baseline_path: a.value("--baseline").map(PathBuf::from),
+        out_dir: a.value("--out-dir").map(PathBuf::from),
+        cache_dir: a.value("--cache-dir").map(PathBuf::from),
+        refresh: a.has("--refresh"),
+        max_ratio,
+        floor_ns,
+        filter: a
+            .value("--filter")
+            .or(a.args.first().map(String::as_str))
+            .map(str::to_string),
+        list: a.has("--list"),
+    };
     let outcome = ucfg_bench::orchestrate::run(&cfg).map_err(err)?;
     if outcome.is_failure() {
         return Err(err(format!(
@@ -951,108 +658,203 @@ pub fn cmd_orchestrate(args: &[String]) -> Result<String, CliError> {
     Ok(outcome.summary)
 }
 
-/// Usage text.
-pub fn usage() -> String {
-    "ucfg — the uCFG lower-bound toolkit (PODS 2025 reproduction)\n\
-     \n\
-     usage:\n\
-       ucfg member  <n> <word>       is <word> ∈ L_n?\n\
-       ucfg count   <n>              |L_n|\n\
-       ucfg sizes   <n>              Theorem 1 size row for L_n\n\
-       ucfg grammar <which> <n>      print a grammar (appendix-a | example3 | example4)\n\
-       ucfg check                    parse a grammar from stdin and analyse it\n\
-       ucfg determinize              CFG → uCFG (the [20] route), grammar on stdin\n\
-       ucfg extract <n>              Proposition 7 extraction demo\n\
-       ucfg rank    <n>              Theorem 17 rank certificates (parallel;\n\
-                                     set UCFG_THREADS to pin the worker count)\n\
-       ucfg cover   <n>              verify the Example 8 cover of L_n (streams\n\
-                                     past the 2^30 cap; see --chunk-bits)\n\
-       ucfg discrepancy <n>          streamed full-family discrepancy at the\n\
-                                     [1,n] cut vs the exact −2^{3m} ledger\n\
-       ucfg accounting <m>           exact Lemma 18/19 ledger for 𝓛 at n = 4m\n\
-                                     (big-integer; any m, way past enumeration)\n\
-       ucfg serve [--port N] [--host H] [--queue-depth N]\n\
-                  [--deadline-ms N] [--cache-capacity N] [--max-connections N]\n\
-                  [--shards N] [--max-body-bytes N] [--request-timeout-ms N]\n\
-                  [--idle-timeout-ms N]\n\
-                                     run the resident query daemon: epoll event\n\
-                                     loop, N worker shards (default port 7878;\n\
-                                     metrics → out/METRICS_serve.json)\n\
-       ucfg query --port N [--host H] [--file script.jsonl] [--shutdown]\n\
-                  [--timeout-ms N]   drive a daemon with JSON-lines requests\n\
-                                     (script from --file, else stdin)\n\
-       ucfg stream --port N (--grammar SRC | --builtin NAME --n N)\n\
-                  (--file tokens.txt | --text CHARS) [--window W] [--regex R]\n\
-                  [--name S] [--chunk N] [--timeout-ms N] [--shutdown]\n\
-                                     drive a daemon's streaming endpoints:\n\
-                                     open a session, feed in chunks, query\n\
-                                     the window, close\n\
-       ucfg orchestrate [--smoke] [--check] [--write-baseline] [--list]\n\
-                  [--filter S] [--baseline PATH] [--out-dir DIR]\n\
-                  [--cache-dir DIR] [--refresh] [--tolerance R] [--floor-ns N]\n\
-                                     run the experiment matrix as a cached job\n\
-                                     graph; --check gates on baselines/<profile>.json\n\
-     \n\
-     global flags:\n\
-       --threads N | --threads=N | -j N | -jN\n\
-                                     override UCFG_THREADS for this invocation\n\
-       --trace                       kernel metrics (or UCFG_TRACE=1): summary\n\
-                                     to stderr + out/METRICS_ucfg.json\n\
-       --chunk-bits N | --chunk-bits=N\n\
-                                     override UCFG_WORDSET_CHUNK: stream wordset\n\
-                                     kernels in N-bit chunks (power of two ≥ 64)\n\
-                                     and force the chunked path below the cap\n"
-        .to_string()
+/// Write `body` to `file` in the output directory (`$UCFG_OUT_DIR`, else
+/// `out/`) and name it on stderr; a failed write is only a warning.
+fn write_out(file: &str, body: &str, what: &str) {
+    let dir = ucfg_support::bench::out_dir();
+    let path = dir.join(file);
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body)) {
+        Ok(()) => eprintln!("{what} written to {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
 }
 
-/// Dispatch a full argument vector (without the program name).
+/// `ucfg report [ids | --list]` — the experiment report: every table and
+/// figure of DESIGN.md §5, also written to `out/report_output.txt`, or
+/// only the experiments named (stdout only).
+pub fn cmd_report(a: &Invocation) -> Result<String, CliError> {
+    use ucfg_bench::experiments;
+    if a.has("--list") {
+        let mut out = "available experiments (see DESIGN.md §5):\n".to_string();
+        for id in experiments::ALL_EXPERIMENTS {
+            let _ = writeln!(out, "  {id}");
+        }
+        return Ok(out);
+    }
+    if !a.args.is_empty() {
+        return Ok(a.args.iter().map(|id| experiments::run(id)).collect());
+    }
+    let report = experiments::full_report();
+    write_out("report_output.txt", &report, "report");
+    Ok(report)
+}
+
+/// `ucfg sweep [max_n] [--kernels]` — the Theorem 1 separation over a
+/// dense `n`-sweep as CSV (default `max_n` 256), also written to
+/// `out/separation_sweep.csv`; with `--kernels`, the bitmap-kernel sweep
+/// (default `max_n` 16) to `out/kernel_sweep.csv`. See
+/// [`ucfg_bench::sweep`] for the columns. The CSV is byte-identical for
+/// every thread count.
+pub fn cmd_sweep(a: &Invocation) -> Result<String, CliError> {
+    let mut max_n = None;
+    for arg in &a.args {
+        max_n = Some(
+            arg.parse()
+                .map_err(|_| err(format!("unrecognised argument '{arg}'")))?,
+        );
+    }
+    let threads = ucfg_support::par::thread_count();
+    let (csv, file) = if a.has("--kernels") {
+        // The exhaustive columns cap themselves (NA above their
+        // thresholds), so the default ceiling just bounds the cheap ones.
+        let csv = ucfg_bench::sweep::kernel_sweep_csv(max_n.unwrap_or(16), threads);
+        (csv, "kernel_sweep.csv")
+    } else {
+        let csv = ucfg_bench::sweep::sweep_csv(max_n.unwrap_or(256), threads);
+        (csv, "separation_sweep.csv")
+    };
+    write_out(file, &csv, "sweep");
+    Ok(csv)
+}
+
+/// The suites `ucfg bench` selects and the harness options: a positional
+/// that names a suite selects it, any other is the benchmark-id filter.
+fn bench_plan(a: &Invocation) -> Result<(Vec<&'static str>, Options), CliError> {
+    let mut selected = Vec::new();
+    let mut filter = None;
+    for arg in &a.args {
+        match ALL_SUITES.iter().find(|s| *s == arg) {
+            Some(name) => selected.push(*name),
+            None => filter = Some(arg.clone()),
+        }
+    }
+    if a.has("--all") {
+        selected = ALL_SUITES.to_vec();
+    }
+    let d = Options::default();
+    let opts = Options {
+        smoke: a.has("--smoke"),
+        list: a.has("--list"),
+        samples: a.num("--samples")?.unwrap_or(d.samples),
+        warmup_ms: a.num("--warmup-ms")?.unwrap_or(d.warmup_ms),
+        filter,
+        out_dir: a.value("--out-dir").map_or(d.out_dir, PathBuf::from),
+    };
+    Ok((selected, opts))
+}
+
+/// `ucfg bench (--list | --all | <suite>…) [--smoke] [--samples N]
+/// [--warmup-ms N] [--out-dir P] [filter]` — run bench suites in one
+/// process, each writing `BENCH_<suite>.json`. `--list` alone prints the
+/// suite registry, one name per line (CI reads it, so scripts never
+/// hardcode suites); with a selection it lists the selected suites'
+/// benchmark ids. A run in which a suite records nothing (a filter that
+/// matches no id) is an error.
+pub fn cmd_bench(a: &Invocation) -> Result<String, CliError> {
+    let (selected, opts) = bench_plan(a)?;
+    if selected.is_empty() {
+        if opts.list {
+            return Ok(ALL_SUITES.iter().map(|s| format!("{s}\n")).collect());
+        }
+        return Err(err(format!(
+            "no suite selected (give --list, --all or a suite: {})",
+            ALL_SUITES.join(" ")
+        )));
+    }
+    let mut empty = Vec::new();
+    for name in selected {
+        // The harness prints as it runs, so the banner must too.
+        println!("=== suite {name} ===");
+        let suite = ucfg_bench::suites::build(name, opts.clone()).expect("a registered suite");
+        if !suite.is_list() && suite.is_empty() {
+            empty.push(name);
+        }
+        suite.finish();
+    }
+    if !empty.is_empty() {
+        return Err(err(format!(
+            "no measurement rows from suite(s): {} (filter matched nothing?)",
+            empty.join(" ")
+        )));
+    }
+    Ok(String::new())
+}
+
+fn read_all(stdin: &mut dyn Read) -> Result<String, CliError> {
+    let mut buf = String::new();
+    stdin
+        .read_to_string(&mut buf)
+        .map_err(|e| err(format!("could not read stdin: {e}")))?;
+    Ok(buf)
+}
+
+/// Run a parsed command line: apply the global flags, then run the
+/// command. Only `check`, `determinize` and a `query` without `--file`
+/// read `stdin`, so no other command blocks on it.
 ///
-/// A thread-override flag anywhere in the arguments — any of the four
-/// spellings `--threads N`, `--threads=N`, `-j N`, `-jN` — overrides
-/// `UCFG_THREADS` for this invocation via
-/// [`ucfg_support::par::set_thread_count`] before the command runs; every
-/// parallel kernel downstream picks the count up from
-/// [`ucfg_support::par::thread_count`]. A `--trace` flag switches the
-/// [`ucfg_support::obs`] metrics layer on (the binary then writes
-/// `out/METRICS_ucfg.json` and a summary at exit). A `--chunk-bits N` /
-/// `--chunk-bits=N` flag anywhere sets `UCFG_WORDSET_CHUNK` for this
-/// invocation via [`ucfg_core::wordset::chunked::set_chunk_bits`] — the
-/// wordset kernels then stream in `N`-bit chunks even below the
-/// materialisation cap.
-pub fn dispatch(args: &[String], stdin: &str) -> Result<String, CliError> {
-    let (args, trace) = ucfg_support::obs::strip_trace_flag(args);
-    if trace {
+/// `--threads N` (any spelling) overrides `UCFG_THREADS` through
+/// [`ucfg_support::par::set_thread_count`], so every parallel kernel
+/// downstream picks the count up from
+/// [`ucfg_support::par::thread_count`]. `--trace` switches the
+/// [`ucfg_support::obs`] metrics layer on. `--chunk-bits N` sets
+/// `UCFG_WORDSET_CHUNK` through
+/// [`ucfg_core::wordset::chunked::set_chunk_bits`], so the wordset
+/// kernels stream in `N`-bit chunks even below the materialisation cap.
+pub fn run(a: &Invocation, stdin: &mut dyn Read) -> Result<String, CliError> {
+    use ucfg_core::wordset::chunked;
+    if a.has("--trace") {
         ucfg_support::obs::set_enabled(true);
     }
-    let rest = ucfg_support::par::strip_thread_flags(&args).map_err(err)?;
-    let rest = ucfg_core::wordset::chunked::strip_chunk_flags(&rest).map_err(err)?;
-    match &rest[..] {
-        [cmd, n, word] if cmd == "member" => cmd_member(n, word),
-        [cmd, n] if cmd == "count" => cmd_count(n),
-        [cmd, n] if cmd == "sizes" => cmd_sizes(n),
-        [cmd, which, n] if cmd == "grammar" => cmd_grammar(which, n),
-        [cmd] if cmd == "check" => cmd_check(stdin),
-        [cmd] if cmd == "determinize" => cmd_determinize(stdin),
-        [cmd, n] if cmd == "extract" => cmd_extract(n),
-        [cmd, n] if cmd == "rank" => cmd_rank(n),
-        [cmd, n] if cmd == "cover" => cmd_cover(n),
-        [cmd, n] if cmd == "discrepancy" => cmd_discrepancy(n),
-        [cmd, m] if cmd == "accounting" => cmd_accounting(m),
-        [cmd, flags @ ..] if cmd == "serve" => cmd_serve(flags),
-        [cmd, flags @ ..] if cmd == "query" => cmd_query(flags, stdin),
-        [cmd, flags @ ..] if cmd == "stream" => cmd_stream(flags),
-        [cmd, flags @ ..] if cmd == "orchestrate" => cmd_orchestrate(flags),
-        [] => Ok(usage()),
-        _ => Err(err(format!(
-            "unrecognised arguments: {rest:?}\n\n{}",
-            usage()
-        ))),
+    if let Some(v) = a.value("--threads") {
+        ucfg_support::par::set_thread_count(ucfg_support::par::parse_threads(v).map_err(err)?);
+    }
+    if let Some(v) = a.value("--chunk-bits") {
+        chunked::set_chunk_bits(chunked::parse_chunk_bits(v).map_err(err)?);
+    }
+    match (a.name(), &a.args[..]) {
+        ("ucfg", _) => Ok(usage()),
+        ("member", [n, word]) => cmd_member(n, word),
+        ("count", [n]) => cmd_count(n),
+        ("sizes", [n]) => cmd_sizes(n),
+        ("grammar", [which, n]) => cmd_grammar(which, n),
+        ("check", []) => cmd_check(&read_all(stdin)?),
+        ("determinize", []) => cmd_determinize(&read_all(stdin)?),
+        ("extract", [n]) => cmd_extract(n),
+        ("rank", [n]) => cmd_rank(n),
+        ("cover", [n]) => cmd_cover(n),
+        ("discrepancy", [n]) => cmd_discrepancy(n),
+        ("accounting", [m]) => cmd_accounting(m),
+        ("serve", []) => cmd_serve(a),
+        ("query", []) => cmd_query(a, stdin),
+        ("stream", []) => cmd_stream(a),
+        ("orchestrate", [] | [_]) => cmd_orchestrate(a),
+        ("report", _) => cmd_report(a),
+        ("sweep", _) => cmd_sweep(a),
+        ("bench", _) => cmd_bench(a),
+        _ => Err(a.misuse()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// What `main` does with a command line and a stdin.
+    fn ucfg(args: &[&str], stdin: &str) -> Result<String, CliError> {
+        run(&parse(&argv(args))?, &mut stdin.as_bytes())
+    }
+
+    /// Tests that set `UCFG_THREADS` or `UCFG_WORDSET_CHUNK` through the
+    /// global flags must not interleave under the parallel test runner.
+    fn env_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn member_command() {
@@ -1187,159 +989,295 @@ mod tests {
     }
 
     #[test]
+    fn global_flags_parse_anywhere() {
+        // The four thread spellings, before, after and inside the command.
+        for form in [
+            &["--threads", "3", "count", "2"][..],
+            &["-j", "3", "count", "2"],
+            &["--threads=3", "count", "2"],
+            &["-j3", "count", "2"],
+            &["count", "2", "-j", "3"],
+            &["count", "--threads=3", "2"],
+        ] {
+            let a = parse(&argv(form)).expect("valid spelling");
+            assert_eq!(
+                (a.name(), &a.args[..]),
+                ("count", &argv(&["2"])[..]),
+                "{form:?}"
+            );
+            assert_eq!(a.value("--threads"), Some("3"), "{form:?}");
+        }
+        // Later flags win; positionals keep their order.
+        let a = parse(&argv(&["member", "-j2", "2", "--threads=5", "abab"])).unwrap();
+        assert_eq!(a.args, argv(&["2", "abab"]));
+        assert_eq!(a.value("--threads"), Some("5"));
+        for form in [
+            &["--chunk-bits", "1024", "cover", "4"][..],
+            &["cover", "--chunk-bits=1024", "4"],
+        ] {
+            let a = parse(&argv(form)).expect("valid spelling");
+            assert_eq!(a.value("--chunk-bits"), Some("1024"), "{form:?}");
+            assert_eq!(a.args, argv(&["4"]), "{form:?}");
+        }
+        for form in [
+            &["--trace", "count", "2"][..],
+            &["count", "--trace", "2"],
+            &["count", "2", "--trace"],
+        ] {
+            let a = parse(&argv(form)).expect("valid spelling");
+            assert!(a.has("--trace"), "{form:?}");
+            assert_eq!(a.args, argv(&["2"]), "{form:?}");
+        }
+        // A value that looks like a global flag is taken verbatim.
+        let a = parse(&argv(&["stream", "--port", "1", "--name", "-j2"])).unwrap();
+        assert_eq!(a.value("--name"), Some("-j2"));
+        assert_eq!(a.value("--threads"), None);
+        // Missing values and unknown flags are errors, in every position.
+        for bad in [
+            &["--threads"][..],
+            &["-j"],
+            &["count", "2", "--chunk-bits"],
+            &["count", "--bogus", "2"],
+            &["--bogus", "count", "2"],
+            &["count", "2", "--trace=1"],
+            &["report", "-lx"],
+            &["serve", "--port"],
+            &["serve", "--chunk", "4"],
+        ] {
+            assert!(parse(&argv(bad)).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
     fn chunk_flag_round_trips_to_the_wordset_layer() {
+        let _env = env_lock();
+        // Both spellings land in UCFG_WORDSET_CHUNK.
+        for form in [&["--chunk-bits", "1024"][..], &["--chunk-bits=1024"]] {
+            ucfg(form, "").expect("valid spelling");
+            let chunk = std::env::var(ucfg_core::wordset::chunked::CHUNK_ENV);
+            assert_eq!(chunk.as_deref(), Ok("1024"), "{form:?}");
+            std::env::remove_var(ucfg_core::wordset::chunked::CHUNK_ENV);
+        }
         // --chunk-bits must force the chunked path below the cap, and
         // every line after the source banner must be byte-identical to
         // the in-memory pass — the invariant CI's determinism job pins.
-        let chunked = dispatch(
-            &["--chunk-bits=1024".into(), "cover".into(), "4".into()],
-            "",
-        )
-        .unwrap();
+        let chunked = ucfg(&["--chunk-bits=1024", "cover", "4"], "").unwrap();
         assert!(chunked.contains("chunked"), "{chunked}");
         std::env::remove_var(ucfg_core::wordset::chunked::CHUNK_ENV);
-        let inmem = dispatch(&["cover".into(), "4".into()], "").unwrap();
+        let inmem = ucfg(&["cover", "4"], "").unwrap();
         assert!(inmem.contains("in-memory"), "{inmem}");
         let tail = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
         assert_eq!(tail(&chunked), tail(&inmem));
         // Malformed sizes are hard errors in both spellings, and must
         // not leave an override behind.
-        assert!(dispatch(&["--chunk-bits".into()], "").is_err());
-        assert!(dispatch(&["--chunk-bits".into(), "banana".into()], "").is_err());
-        assert!(dispatch(&["--chunk-bits=63".into(), "count".into(), "2".into()], "").is_err());
-        assert!(dispatch(&["--chunk-bits=0".into()], "").is_err());
+        for bad in [
+            &["--chunk-bits"][..],
+            &["--chunk-bits", "0"],
+            &["--chunk-bits", "100"],
+            &["--chunk-bits", "banana"],
+            &["--chunk-bits=banana"],
+            &["--chunk-bits=63", "count", "2"],
+            &["--chunk-bits=0"],
+        ] {
+            assert!(ucfg(bad, "").is_err(), "accepted {bad:?}");
+        }
         assert!(std::env::var(ucfg_core::wordset::chunked::CHUNK_ENV).is_err());
     }
 
     #[test]
     fn threads_flag_round_trips_to_the_par_layer() {
-        // `--threads N` must land in ucfg_support::par::thread_count for
+        let _env = env_lock();
+        // Every spelling must land in ucfg_support::par::thread_count for
         // every kernel the command runs.
-        let out = dispatch(
-            &["--threads".into(), "3".into(), "count".into(), "2".into()],
-            "",
-        )
-        .unwrap();
-        assert!(out.contains("7"));
-        assert_eq!(ucfg_support::par::thread_count(), 3);
+        for (form, threads) in [
+            (&["--threads", "3", "count", "2"][..], 3),
+            (&["--threads=5", "count", "2"], 5),
+            (&["-j4", "count", "2"], 4),
+            (&["count", "2", "-j", "6"], 6),
+        ] {
+            assert!(ucfg(form, "").unwrap().contains('7'), "{form:?}");
+            assert_eq!(ucfg_support::par::thread_count(), threads, "{form:?}");
+        }
         // The short form, with no command → usage.
-        assert!(dispatch(&["-j".into(), "2".into()], "")
-            .unwrap()
-            .contains("usage"));
+        assert!(ucfg(&["-j", "2"], "").unwrap().contains("usage"));
         assert_eq!(ucfg_support::par::thread_count(), 2);
-        // The attached spellings must work too — they used to be passed
-        // through to the command router and rejected as bogus arguments.
-        let out = dispatch(&["--threads=5".into(), "count".into(), "2".into()], "").unwrap();
-        assert!(out.contains("7"));
-        assert_eq!(ucfg_support::par::thread_count(), 5);
-        let out = dispatch(&["-j4".into(), "count".into(), "2".into()], "").unwrap();
-        assert!(out.contains("7"));
-        assert_eq!(ucfg_support::par::thread_count(), 4);
         // Malformed values are rejected, in every spelling.
-        assert!(dispatch(&["--threads".into()], "").is_err());
-        assert!(dispatch(&["--threads".into(), "0".into()], "").is_err());
-        assert!(dispatch(&["--threads".into(), "x".into()], "").is_err());
-        assert!(dispatch(&["--threads=0".into()], "").is_err());
-        assert!(dispatch(&["--threads=x".into()], "").is_err());
-        assert!(dispatch(&["-j0".into()], "").is_err());
-        assert!(dispatch(&["-jx".into()], "").is_err());
+        for bad in [
+            &["--threads"][..],
+            &["-j"],
+            &["--threads", "0"],
+            &["--threads", "x"],
+            &["--threads=0"],
+            &["--threads=x"],
+            &["--threads=banana"],
+            &["-j0"],
+            &["-jx"],
+        ] {
+            assert!(ucfg(bad, "").is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
-    fn serve_args_parse_and_reject() {
-        let d = parse_serve_args(&[]).unwrap();
+    fn stdin_is_read_after_global_flags() {
+        let _env = env_lock();
+        let grammar = "S -> A A\nA -> a | b\n";
+        for form in [&["-j", "2", "check"][..], &["check", "--threads=2"]] {
+            let out = ucfg(form, grammar).unwrap();
+            assert!(out.contains("unambiguous ✓"), "{form:?}: {out}");
+        }
+        for form in [&["-j2", "determinize"][..], &["determinize", "-j", "2"]] {
+            let out = ucfg(form, grammar).unwrap();
+            assert!(out.contains("determinized"), "{form:?}: {out}");
+        }
+    }
+
+    #[test]
+    fn bench_flags_parse_and_reject() {
+        let plan = |args: &[&str]| bench_plan(&parse(&argv(args))?);
+        let (suites, o) = plan(&["bench", "parsing", "--smoke", "--samples", "7", "cyk"]).unwrap();
+        assert_eq!(suites, ["parsing"]);
+        assert!(o.smoke);
+        assert_eq!(o.samples, 7);
+        assert_eq!(o.filter.as_deref(), Some("cyk"));
+        let (suites, o) = plan(&["bench", "--all", "--warmup-ms", "5", "--out-dir", "/x"]).unwrap();
+        assert_eq!(suites, ALL_SUITES);
+        assert!(!o.smoke && !o.list);
+        assert_eq!(o.warmup_ms, 5);
+        assert_eq!(o.out_dir, PathBuf::from("/x"));
+        for bad in [
+            &["--smok"][..],
+            &["--bench"],
+            &["--samples", "many"],
+            &["--samples", "-3"],
+            &["--warmup-ms", "1.5"],
+            &["--samples"],
+            &["--out-dir"],
+        ] {
+            assert!(
+                plan(&[&["bench", "parsing"], bad].concat()).is_err(),
+                "accepted {bad:?}"
+            );
+        }
+        // Nothing selected: --list prints the registry, else an error.
+        let list = ucfg(&["bench", "--list"], "").unwrap();
+        assert_eq!(list.lines().collect::<Vec<_>>(), ALL_SUITES);
+        assert!(ucfg(&["bench", "--smoke"], "").is_err());
+    }
+
+    #[test]
+    fn report_and_sweep_arguments() {
+        for form in [&["report", "--list"][..], &["report", "-l"]] {
+            let out = ucfg(form, "").unwrap();
+            assert!(out.starts_with("available experiments"), "{out}");
+            assert!(out.contains("  T24\n"), "{out}");
+        }
+        assert!(ucfg(&["report", "F1"], "").unwrap().contains("=== F1"));
+        for bad in [
+            &["sweep", "x"][..],
+            &["sweep", "-5"],
+            &["sweep", "--kernel"],
+        ] {
+            assert!(ucfg(bad, "").is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn serve_flags_parse_and_reject() {
+        let config = |args: &[&str]| serve_config(&parse(&argv(args))?);
+        let d = config(&["serve"]).unwrap();
         assert_eq!(d.port, 7878);
         assert_eq!(d.host, "127.0.0.1");
         assert_eq!(d.shards, 1);
         assert_eq!(d.max_body_bytes, 4 << 20);
         assert_eq!(d.request_timeout_ms, 10_000);
         assert_eq!(d.idle_timeout_ms, 60_000);
-        let a = parse_serve_args(&[
-            "--port".into(),
-            "9000".into(),
-            "--host=0.0.0.0".into(),
-            "--queue-depth".into(),
-            "8".into(),
-            "--deadline-ms=250".into(),
-            "--cache-capacity".into(),
-            "4".into(),
-            "--max-connections=2".into(),
-            "--shards=4".into(),
-            "--max-body-bytes".into(),
-            "1024".into(),
-            "--request-timeout-ms=500".into(),
-            "--idle-timeout-ms=2000".into(),
+        let a = config(&[
+            "serve",
+            "--port",
+            "9000",
+            "--host=0.0.0.0",
+            "--queue-depth",
+            "8",
+            "--deadline-ms=250",
+            "--cache-capacity",
+            "4",
+            "--max-connections=2",
+            "--shards=4",
+            "--max-body-bytes",
+            "1024",
+            "--request-timeout-ms=500",
+            "--idle-timeout-ms=2000",
         ])
         .unwrap();
-        assert_eq!(
-            a,
-            ServeArgs {
-                host: "0.0.0.0".into(),
-                port: 9000,
-                queue_depth: 8,
-                deadline_ms: 250,
-                cache_capacity: 4,
-                max_connections: 2,
-                shards: 4,
-                max_body_bytes: 1024,
-                request_timeout_ms: 500,
-                idle_timeout_ms: 2000,
-            }
-        );
+        let want = ucfg_serve::ServeConfig {
+            host: "0.0.0.0".into(),
+            port: 9000,
+            queue_depth: 8,
+            deadline_ms: 250,
+            cache_capacity: 4,
+            max_connections: 2,
+            shards: 4,
+            max_body_bytes: 1024,
+            request_timeout_ms: 500,
+            idle_timeout_ms: 2000,
+        };
+        assert_eq!(format!("{a:?}"), format!("{want:?}"));
         // Malformed ports are hard errors, in both flag spellings.
         for bad in ["x", "-1", "65536", "70000", "1.5", ""] {
+            assert!(config(&["serve", "--port", bad]).is_err(), "--port {bad}");
             assert!(
-                parse_serve_args(&["--port".into(), bad.into()]).is_err(),
-                "--port {bad} must be rejected"
-            );
-            assert!(
-                parse_serve_args(&[format!("--port={bad}")]).is_err(),
-                "--port={bad} must be rejected"
+                config(&["serve", &format!("--port={bad}")]).is_err(),
+                "--port={bad}"
             );
         }
-        assert!(parse_serve_args(&["--port".into()]).is_err());
-        assert!(parse_serve_args(&["--bogus".into()]).is_err());
-        assert!(parse_serve_args(&["--queue-depth".into(), "x".into()]).is_err());
-        assert!(parse_serve_args(&["--shards".into(), "x".into()]).is_err());
-        assert!(parse_serve_args(&["--max-body-bytes=huge".into()]).is_err());
-        assert!(parse_serve_args(&["--request-timeout-ms".into()]).is_err());
-        assert!(parse_serve_args(&["--idle-timeout-ms=x".into()]).is_err());
+        for bad in [
+            &["--port"][..],
+            &["--bogus"],
+            &["--queue-depth", "x"],
+            &["--shards", "x"],
+            &["--max-body-bytes=huge"],
+            &["--request-timeout-ms"],
+            &["--idle-timeout-ms=x"],
+        ] {
+            assert!(
+                config(&[&["serve"], bad].concat()).is_err(),
+                "accepted {bad:?}"
+            );
+        }
+        // The daemon takes no positional arguments.
+        assert!(ucfg(&["serve", "extra"], "").is_err());
     }
 
     #[test]
-    fn query_args_parse_and_reject() {
-        let q = parse_query_args(&["--port".into(), "7878".into()]).unwrap();
+    fn query_flags_parse_and_reject() {
+        let target = |args: &[&str]| daemon(&parse(&argv(args))?);
+        let (addr, timeout) = target(&["query", "--port", "7878"]).unwrap();
+        assert_eq!(addr, "127.0.0.1:7878");
+        assert_eq!(timeout, DEFAULT_READ_TIMEOUT);
+        let args = argv(&[
+            "query",
+            "--port=1234",
+            "--host",
+            "localhost",
+            "--file",
+            "s.jsonl",
+            "--shutdown",
+            "--timeout-ms=2500",
+        ]);
+        let a = parse(&args).unwrap();
         assert_eq!(
-            q,
-            QueryArgs {
-                host: "127.0.0.1".into(),
-                port: 7878,
-                file: None,
-                shutdown: false,
-                timeout_ms: None,
-            }
+            daemon(&a).unwrap(),
+            ("localhost:1234".into(), Duration::from_millis(2500))
         );
-        let q = parse_query_args(&[
-            "--port=1234".into(),
-            "--host".into(),
-            "::1".into(),
-            "--file".into(),
-            "s.jsonl".into(),
-            "--shutdown".into(),
-            "--timeout-ms=2500".into(),
-        ])
-        .unwrap();
-        assert_eq!(q.port, 1234);
-        assert_eq!(q.file.as_deref(), Some("s.jsonl"));
-        assert!(q.shutdown);
-        assert_eq!(q.timeout_ms, Some(2500));
+        assert_eq!(a.value("--file"), Some("s.jsonl"));
+        assert!(a.has("--shutdown"));
         // Port is mandatory and malformed ports are hard errors.
-        assert!(parse_query_args(&[]).is_err());
-        assert!(parse_query_args(&["--port".into(), "no".into()]).is_err());
-        assert!(parse_query_args(&["--port=99999".into()]).is_err());
-        assert!(parse_query_args(&["--wat".into()]).is_err());
-        assert!(parse_query_args(&["--port=1".into(), "--timeout-ms=0".into()]).is_err());
-        assert!(parse_query_args(&["--port=1".into(), "--timeout-ms=x".into()]).is_err());
+        assert!(target(&["query"]).is_err());
+        assert!(target(&["query", "--port", "no"]).is_err());
+        assert!(target(&["query", "--port=99999"]).is_err());
+        assert!(target(&["query", "--wat"]).is_err());
+        assert!(target(&["query", "--port=1", "--timeout-ms=0"]).is_err());
+        assert!(target(&["query", "--port=1", "--timeout-ms=x"]).is_err());
     }
 
     #[test]
@@ -1351,28 +1289,33 @@ mod tests {
             ..ucfg_serve::ServeConfig::default()
         })
         .expect("bind");
-        let port = server.local_addr().expect("addr").port();
+        let port = server.local_addr().expect("addr").port().to_string();
         let join = std::thread::spawn(move || server.run().expect("run"));
 
         // Script errors are reported with line numbers.
-        let bad = cmd_query(&["--port".into(), port.to_string()], "not json\n").unwrap_err();
+        let bad = ucfg(&["query", "--port", &port], "not json\n").unwrap_err();
         assert!(bad.to_string().contains("line 1"), "{bad}");
-        let bad = cmd_query(
-            &["--port".into(), port.to_string()],
-            "{\"method\": \"GET\"}\n",
-        )
-        .unwrap_err();
+        let bad = ucfg(&["query", "--port", &port], "{\"method\": \"GET\"}\n").unwrap_err();
         assert!(bad.to_string().contains("missing \"path\""), "{bad}");
+
+        // The script comes from stdin with a global flag before or after
+        // the command.
+        {
+            let _env = env_lock();
+            for form in [
+                &["-j", "1", "query", "--port", &port][..],
+                &["query", "--port", &port, "-j1"],
+            ] {
+                let out = ucfg(form, "{\"path\": \"/healthz\"}\n").unwrap();
+                assert!(out.starts_with("200 {"), "{form:?}: {out}");
+            }
+        }
 
         let script = "# probe, parse twice (second hits the cache), then stop\n\
                       {\"path\": \"/healthz\"}\n\
                       {\"path\": \"/parse\", \"grammar\": \"S -> a S b S | ()\", \"word\": \"ab\"}\n\
                       {\"path\": \"/parse\", \"grammar\": \"S -> a S b S | ()\", \"word\": \"ab\"}\n";
-        let out = cmd_query(
-            &["--port".into(), port.to_string(), "--shutdown".into()],
-            script,
-        )
-        .unwrap();
+        let out = ucfg(&["query", "--port", &port, "--shutdown"], script).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4, "{out}");
         assert!(lines[0].starts_with("200 "), "{out}");
@@ -1388,56 +1331,47 @@ mod tests {
     }
 
     #[test]
-    fn stream_args_parse_and_reject() {
-        let sa = parse_stream_args(&[
-            "--port=1234".into(),
-            "--grammar".into(),
-            "S -> a".into(),
-            "--text".into(),
-            "aaa".into(),
-            "--window=8".into(),
-            "--regex".into(),
-            "a*".into(),
-            "--chunk=2".into(),
-        ])
-        .unwrap();
-        assert_eq!(sa.port, 1234);
-        assert_eq!(sa.window, 8);
-        assert_eq!(sa.chunk, 2);
-        assert_eq!(sa.regex.as_deref(), Some("a*"));
+    fn stream_flags_reject_before_connecting() {
         // Port, grammar source, and token source are all mandatory;
-        // conflicting sources are hard errors.
-        assert!(parse_stream_args(&[]).is_err());
-        assert!(parse_stream_args(&["--port=1".into(), "--text=a".into()]).is_err());
-        assert!(parse_stream_args(&["--port=1".into(), "--grammar=S -> a".into()]).is_err());
-        assert!(parse_stream_args(&[
-            "--port=1".into(),
-            "--grammar=S -> a".into(),
-            "--builtin=example3".into(),
-            "--n=2".into(),
-            "--text=a".into(),
-        ])
-        .is_err());
-        assert!(parse_stream_args(&[
-            "--port=1".into(),
-            "--builtin=example3".into(),
-            "--text=a".into(),
-        ])
-        .is_err());
-        assert!(parse_stream_args(&[
-            "--port=1".into(),
-            "--grammar=S -> a".into(),
-            "--text=a".into(),
-            "--file=f".into(),
-        ])
-        .is_err());
-        assert!(parse_stream_args(&[
-            "--port=1".into(),
-            "--grammar=S -> a".into(),
-            "--text=a".into(),
-            "--window=0".into(),
-        ])
-        .is_err());
+        // conflicting sources and empty windows are hard errors. All of
+        // these fail before any connection attempt.
+        for bad in [
+            &["stream"][..],
+            &["stream", "--port=1", "--text=a"],
+            &["stream", "--port=1", "--grammar=S -> a"],
+            &[
+                "stream",
+                "--port=1",
+                "--grammar=S -> a",
+                "--builtin=example3",
+                "--n=2",
+                "--text=a",
+            ],
+            &["stream", "--port=1", "--builtin=example3", "--text=a"],
+            &[
+                "stream",
+                "--port=1",
+                "--grammar=S -> a",
+                "--text=a",
+                "--file=f",
+            ],
+            &[
+                "stream",
+                "--port=1",
+                "--grammar=S -> a",
+                "--text=a",
+                "--window=0",
+            ],
+            &[
+                "stream",
+                "--port=1",
+                "--grammar=S -> a",
+                "--text=a",
+                "--chunk=0",
+            ],
+        ] {
+            assert!(ucfg(bad, "").is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
@@ -1448,31 +1382,44 @@ mod tests {
             ..ucfg_serve::ServeConfig::default()
         })
         .expect("bind");
-        let port = server.local_addr().expect("addr").port();
+        let port = server.local_addr().expect("addr").port().to_string();
         let join = std::thread::spawn(move || server.run().expect("run"));
 
-        let out = cmd_stream(&[
-            "--port".into(),
-            port.to_string(),
-            "--grammar".into(),
-            "S -> a S b | a b".into(),
-            "--window=8".into(),
-            "--regex".into(),
-            "a(a|b)*b".into(),
-            "--text".into(),
-            "aaaa bbbb".into(),
-            "--chunk=3".into(),
-            "--shutdown".into(),
-        ])
+        let out = ucfg(
+            &[
+                "stream",
+                "--port",
+                &port,
+                "--grammar",
+                "S -> a S b | a b",
+                "--window=8",
+                "--regex",
+                "a(a|b)*b",
+                "--text",
+                "aaaa bbbb",
+                "--chunk=3",
+                "--shutdown",
+            ],
+            "",
+        )
         .unwrap();
         let lines: Vec<&str> = out.lines().collect();
         // open + 3 feed chunks (8 chars / 3) + query + close + shutdown.
         assert_eq!(lines.len(), 7, "{out}");
         assert!(lines[0].starts_with("200 "), "{out}");
         assert!(lines[0].contains("\"session\""), "{out}");
+        // `--window=8` sets the capacity (the default is 64) and
+        // `--regex` reaches the session: the open reply carries the
+        // regex DFA and the query reports the product.
+        assert!(lines[0].contains("\"window\":8,"), "{out}");
+        assert!(lines[0].contains("\"dfa_states\":3"), "{out}");
         assert!(lines[3].contains("\"member\":true"), "{out}");
         assert!(lines[4].contains("\"window\":\"aaaabbbb\""), "{out}");
         assert!(lines[4].contains("\"count\":\"1\""), "{out}");
+        assert!(
+            lines[4].contains("\"product\":{\"nonempty\":true,\"matches\":1}"),
+            "{out}"
+        );
         assert!(lines[5].contains("\"closed\":true"), "{out}");
         assert!(lines[6].contains("draining"), "{out}");
         join.join().expect("clean join");
@@ -1480,11 +1427,14 @@ mod tests {
 
     #[test]
     fn dispatch_routes() {
-        let ok = dispatch(&["count".into(), "2".into()], "").unwrap();
-        assert!(ok.contains("7"));
-        assert!(dispatch(&[], "").unwrap().contains("usage"));
-        assert!(dispatch(&["bogus".into()], "").is_err());
-        let checked = dispatch(&["check".into()], "S -> a\n").unwrap();
+        assert!(ucfg(&["count", "2"], "").unwrap().contains('7'));
+        assert!(ucfg(&[], "").unwrap().contains("usage"));
+        assert!(ucfg(&["bogus"], "").is_err());
+        assert!(ucfg(&["count"], "").is_err());
+        assert!(ucfg(&["count", "2", "3"], "").is_err());
+        assert!(ucfg(&["orchestrate", "a", "b"], "").is_err());
+        assert!(ucfg(&["orchestrate", "--filter", "a", "b"], "").is_err());
+        let checked = ucfg(&["check"], "S -> a\n").unwrap();
         assert!(checked.contains("1 words"));
     }
 }

@@ -1,31 +1,18 @@
 //! The `ucfg` command-line tool. See `ucfg_cli::usage`.
 
-use std::io::Read;
 use std::process::ExitCode;
+use ucfg_support::obs;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Only the stdin-reading commands consume stdin; don't block
-    // otherwise. `query` reads its script from stdin unless --file
-    // supplies it.
-    let wants_stdin = match args.first().map(String::as_str) {
-        Some("check") | Some("determinize") => true,
-        Some("query") => !args
-            .iter()
-            .any(|a| a == "--file" || a.starts_with("--file=")),
-        _ => false,
-    };
-    let stdin = if wants_stdin {
-        let mut buf = String::new();
-        if std::io::stdin().read_to_string(&mut buf).is_err() {
-            eprintln!("error: could not read stdin");
+    let invocation = match ucfg_cli::parse(&args) {
+        Ok(invocation) => invocation,
+        Err(e) => {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        buf
-    } else {
-        String::new()
     };
-    let code = match ucfg_cli::dispatch(&args, &stdin) {
+    let code = match ucfg_cli::run(&invocation, &mut std::io::stdin().lock()) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS
@@ -35,14 +22,14 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     };
-    // `dispatch` enables the metrics layer when `--trace` (or UCFG_TRACE=1)
-    // is present; export after the command has run.
-    if ucfg_support::obs::enabled() {
-        match ucfg_support::obs::write_metrics("ucfg") {
+    // `--trace`, `UCFG_TRACE=1` or `serve` switched the metrics layer on:
+    // export it once, named after the command.
+    if obs::enabled() {
+        match obs::write_metrics(invocation.name()) {
             Ok(p) => eprintln!("metrics written to {}", p.display()),
             Err(e) => eprintln!("warning: could not write metrics: {e}"),
         }
-        eprintln!("{}", ucfg_support::obs::summary());
+        eprintln!("{}", obs::summary());
     }
     code
 }

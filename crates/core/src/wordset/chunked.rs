@@ -53,8 +53,9 @@ fn valid_chunk_bits(bits: u64) -> bool {
     bits.is_power_of_two() && (64..=MAX_DOMAIN_BITS).contains(&bits)
 }
 
-/// Parse a chunk-size override; `Err` carries the reason.
-fn parse_chunk_bits(spec: &str) -> Result<u64, String> {
+/// Parse a chunk-size override (`ucfg --chunk-bits` or [`CHUNK_ENV`]);
+/// `Err` carries the reason.
+pub fn parse_chunk_bits(spec: &str) -> Result<u64, String> {
     let bits: u64 = spec
         .trim()
         .parse()
@@ -76,7 +77,7 @@ pub fn chunk_override() -> Option<u64> {
 }
 
 /// Set the chunk-size override for this process by setting [`CHUNK_ENV`]
-/// — the funnel behind the binaries' `--chunk-bits` flag. Also forces
+/// — the funnel behind `ucfg --chunk-bits`. Also forces
 /// the chunked path below the cap (see [`WordSetSource`]).
 pub fn set_chunk_bits(bits: u64) {
     assert!(
@@ -84,31 +85,6 @@ pub fn set_chunk_bits(bits: u64) {
         "invalid chunk size {bits}: want a power of two in [64, {MAX_DOMAIN_BITS}]"
     );
     std::env::set_var(CHUNK_ENV, bits.to_string());
-}
-
-/// Strip every `--chunk-bits` flag from a binary's argument list,
-/// applying the override via [`set_chunk_bits`], and return the remaining
-/// arguments. Both `--chunk-bits N` and `--chunk-bits=N` are accepted; a
-/// missing or malformed size is a hard error, mirroring
-/// [`par::strip_thread_flags`].
-pub fn strip_chunk_flags(args: &[String]) -> Result<Vec<String>, String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let spec: Option<&str> = if arg == "--chunk-bits" {
-            match iter.next() {
-                Some(v) => Some(v.as_str()),
-                None => return Err("--chunk-bits requires a size in bits".to_string()),
-            }
-        } else {
-            arg.strip_prefix("--chunk-bits=")
-        };
-        match spec {
-            Some(v) => set_chunk_bits(parse_chunk_bits(v)?),
-            None => rest.push(arg.clone()),
-        }
-    }
-    Ok(rest)
 }
 
 /// The logical word-domain size `2^{2n}` **without** the materialisation
@@ -548,35 +524,6 @@ mod tests {
                 None => std::env::remove_var(CHUNK_ENV),
             }
         }
-    }
-
-    #[test]
-    fn strip_chunk_flags_round_trip() {
-        let _g = env_gate();
-        let _e = EnvRestore::clear();
-        let argv = |args: &[&str]| -> Vec<String> { args.iter().map(|s| s.to_string()).collect() };
-        for form in [
-            &["--chunk-bits", "1024", "cmd"][..],
-            &["--chunk-bits=1024", "cmd"],
-        ] {
-            let rest = strip_chunk_flags(&argv(form)).expect("valid spelling");
-            assert_eq!(rest, argv(&["cmd"]), "form {form:?}");
-            assert_eq!(std::env::var(CHUNK_ENV).as_deref(), Ok("1024"));
-            std::env::remove_var(CHUNK_ENV);
-        }
-        for bad in [
-            &["--chunk-bits"][..],
-            &["--chunk-bits", "0"],
-            &["--chunk-bits=banana"],
-            &["--chunk-bits", "100"],
-        ] {
-            assert!(strip_chunk_flags(&argv(bad)).is_err(), "form {bad:?}");
-        }
-        // Unrelated args pass through untouched.
-        assert_eq!(
-            strip_chunk_flags(&argv(&["a", "b"])).unwrap(),
-            argv(&["a", "b"])
-        );
     }
 
     #[test]

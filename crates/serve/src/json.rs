@@ -509,4 +509,102 @@ mod tests {
         assert_eq!(v.get("neg").and_then(Json::as_usize), None);
         assert_eq!(v.get("missing"), None);
     }
+
+    mod props {
+        use super::super::*;
+        use ucfg_support::prop::Gen;
+        use ucfg_support::{prop_assert, prop_assert_eq, property};
+
+        /// Quotes, backslashes, every escape the writer emits, other
+        /// control characters, and 2-, 3- and 4-byte (non-BMP) UTF-8.
+        const CHARS: &str = "a \"\\/\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}é€\u{ffff}😀\u{10ffff}";
+
+        fn rand_string(g: &mut Gen) -> String {
+            let chars: Vec<char> = CHARS.chars().collect();
+            g.string_of(&chars, 0..=8)
+        }
+
+        fn rand_leaf(g: &mut Gen) -> Json {
+            match g.int_in(0u8..=6) {
+                0 => Json::Null,
+                1 => Json::Bool(g.bool()),
+                2 => Json::Int(*g.choice(&[i64::MIN, i64::MAX, 0, -1])),
+                3 => Json::Int(g.any_u64() as i64),
+                4 => {
+                    let x = f64::from_bits(g.any_u64());
+                    Json::Float(if x.is_finite() { x } else { 0.5 })
+                }
+                5 => Json::Str(rand_string(g)),
+                _ => Json::Arr(Vec::new()),
+            }
+        }
+
+        /// A value nested exactly `depth` containers deep: at each level
+        /// one child recurses and its siblings are leaves.
+        fn rand_json(g: &mut Gen, depth: usize) -> Json {
+            if depth == 0 {
+                return rand_leaf(g);
+            }
+            let mut items = g.vec_of(0..3, rand_leaf);
+            let at = g.int_in(0..=items.len());
+            items.insert(at, rand_json(g, depth - 1));
+            if g.bool() {
+                Json::Arr(items)
+            } else {
+                Json::Obj(items.into_iter().map(|v| (rand_string(g), v)).collect())
+            }
+        }
+
+        fn rand_doc(g: &mut Gen) -> Json {
+            let depth = g.int_in(0..=MAX_DEPTH);
+            rand_json(g, depth)
+        }
+
+        /// Parse without panicking; an error must point inside the input.
+        fn parse_in_bounds(src: &str) -> Result<(), String> {
+            match Json::parse(src) {
+                Err(e) if e.at > src.len() => Err(format!("{e} past len {}", src.len())),
+                _ => Ok(()),
+            }
+        }
+
+        property! {
+            cases = 256;
+            fn render_then_parse_is_the_identity(v in rand_doc) {
+                let doc = v.render();
+                prop_assert_eq!(Json::parse(&doc), Ok(v.clone()));
+            }
+        }
+
+        property! {
+            cases = 64;
+            // Truncated or corrupted documents are errors or other values,
+            // never a panic, and an error's offset lies within the input.
+            fn prefixes_and_one_byte_edits_never_panic(
+                v in rand_doc,
+                edit in |g: &mut Gen| (g.any_u64(), g.int_in(0u8..=2), g.int_in(0u8..=255)),
+            ) {
+                let doc = v.render();
+                for cut in (0..=doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+                    let r = parse_in_bounds(&doc[..cut]);
+                    prop_assert!(r.is_ok(), "prefix {cut}: {r:?}");
+                }
+                let (pos, kind, byte) = edit;
+                let mut bytes = doc.into_bytes();
+                let pos = (pos % (bytes.len() as u64 + 1)) as usize;
+                match kind {
+                    0 if pos < bytes.len() => bytes[pos] = byte,
+                    1 if pos < bytes.len() => {
+                        bytes.remove(pos);
+                    }
+                    _ => bytes.insert(pos, byte),
+                }
+                // The daemon hands the parser only valid UTF-8.
+                if let Ok(edited) = std::str::from_utf8(&bytes) {
+                    let r = parse_in_bounds(edited);
+                    prop_assert!(r.is_ok(), "edit {edit:?}: {r:?}");
+                }
+            }
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! # ucfg-serve — the resident query daemon
 //!
 //! A long-running TCP service over the workspace's kernels, closing the
-//! gap between the one-shot binaries (`ucfg`, `report`, `sweep`) and
+//! gap between the one-shot `ucfg` commands (`rank`, `report`, `sweep`, …) and
 //! the ROADMAP's production-serving north star. Hermetic like the rest
 //! of the workspace: `std::net` TCP, a hand-rolled HTTP/1.1 subset
 //! ([`http`]), and a hand-rolled JSON value ([`json`]) — no external

@@ -91,8 +91,9 @@ mod sig {
     pub fn install() {}
 }
 
-/// Server configuration. `Default` gives the documented defaults; the
-/// CLI overrides port/threads, tests override the bounds.
+/// Server configuration. `Default` gives the documented defaults;
+/// `ucfg serve` sets every field from its flags (the default where a
+/// flag is absent), and tests override the bounds.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Interface to bind (default loopback).

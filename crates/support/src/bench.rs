@@ -1,5 +1,5 @@
 //! A small benchmark harness (the workspace's in-tree replacement for
-//! `criterion`), driven by the `bench` binary of `ucfg-bench`.
+//! `criterion`), driven by `ucfg bench`.
 //!
 //! Each suite builds a [`Suite`], registers timed closures under
 //! groups, and finishes by writing one JSON line per benchmark to
@@ -8,20 +8,17 @@
 //! reported statistics are per-iteration min / mean / median / p95 / max
 //! in nanoseconds.
 //!
-//! Flags (after `bench <suite>`); anything else starting with `-`, or a
-//! malformed number, is an error:
-//! - `--smoke`       run every benchmark once, no statistics — the CI gate
-//! - `--list`        print each benchmark's `group/id` without running it
-//! - `--samples N`   timed batches per benchmark (default 20)
-//! - `--warmup-ms N` warmup budget per benchmark (default 50)
-//! - `--out-dir P`   where to write `BENCH_<suite>.json` (default `out/`,
-//!   or `$UCFG_OUT_DIR`)
-//! - any other non-flag argument filters benchmarks by substring
+//! [`Options`] holds what `ucfg bench`'s flags set: `--smoke` runs every
+//! benchmark once with no statistics (the CI gate), `--list` prints each
+//! benchmark's `group/id` without running it, `--samples N` and
+//! `--warmup-ms N` size a timed run, `--out-dir P` places
+//! `BENCH_<suite>.json`, and a bare argument filters ids by substring.
 //!
 //! ```no_run
-//! use ucfg_support::bench::Suite;
+//! use ucfg_support::bench::{Options, Suite};
 //!
-//! let mut suite = Suite::with_args("demo", ["--smoke"].iter().map(|s| s.to_string()));
+//! let opts = Options { smoke: true, ..Options::default() };
+//! let mut suite = Suite::with_options("demo", opts);
 //! let mut g = suite.group("fib");
 //! g.bench("fib/20", || (0..20u64).product::<u64>());
 //! suite.finish();
@@ -32,14 +29,15 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Parsed harness options.
+/// Harness options.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Run each benchmark exactly once (CI smoke mode).
     pub smoke: bool,
     /// List benchmark ids without running anything.
     pub list: bool,
-    /// Timed batches per benchmark.
+    /// Timed batches per benchmark (at least 2 are taken, so statistics
+    /// stay meaningful).
     pub samples: usize,
     /// Warmup budget per benchmark, in milliseconds.
     pub warmup_ms: u64,
@@ -69,35 +67,6 @@ pub fn out_dir() -> PathBuf {
     std::env::var_os("UCFG_OUT_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("out"))
-}
-
-impl Options {
-    /// Parse harness options from an argument iterator; a bare argument
-    /// becomes the name filter. An unknown flag, a missing value, or a
-    /// malformed number is an error, so a typo such as `--smok` cannot
-    /// silently run the full timed profile.
-    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
-        let mut opts = Options::default();
-        while let Some(a) = args.next() {
-            let mut value = || args.next().ok_or_else(|| format!("{a} needs a value"));
-            match a.as_str() {
-                "--smoke" => opts.smoke = true,
-                "--list" => opts.list = true,
-                "--samples" => opts.samples = number(&a, &value()?)?,
-                "--warmup-ms" => opts.warmup_ms = number(&a, &value()?)?,
-                "--out-dir" => opts.out_dir = PathBuf::from(value()?),
-                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-                name => opts.filter = Some(name.to_string()),
-            }
-        }
-        opts.samples = opts.samples.max(2);
-        Ok(opts)
-    }
-}
-
-fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("{flag} takes a non-negative integer, not {v:?}"))
 }
 
 /// Per-iteration timing statistics, in nanoseconds.
@@ -197,7 +166,8 @@ pub struct BenchEntry {
     pub stats: Stats,
 }
 
-/// A bench suite: the named set of benchmarks one `bench <suite>` run times.
+/// A bench suite: the named set of benchmarks one `ucfg bench <suite>` run
+/// times.
 pub struct Suite {
     name: String,
     opts: Options,
@@ -206,17 +176,7 @@ pub struct Suite {
 }
 
 impl Suite {
-    /// Build a suite from explicit argument strings (for tests).
-    ///
-    /// # Panics
-    ///
-    /// If the arguments do not parse as [`Options`].
-    pub fn with_args(name: &str, args: impl Iterator<Item = String>) -> Self {
-        let opts = Options::parse(args).unwrap_or_else(|e| panic!("bench options: {e}"));
-        Self::with_options(name, opts)
-    }
-
-    /// Build a suite from parsed options.
+    /// Build a suite from its options.
     pub fn with_options(name: &str, opts: Options) -> Self {
         Suite {
             name: name.to_string(),
@@ -374,8 +334,8 @@ impl Group<'_> {
         // Aim for ~5 ms per sample, between 1 and 2^20 iterations.
         let iters_per_sample = ((5e6 / est_ns.max(1.0)) as u64).clamp(1, 1 << 20);
 
-        let mut samples = Vec::with_capacity(self.suite.opts.samples);
-        for _ in 0..self.suite.opts.samples {
+        let mut samples = Vec::with_capacity(self.suite.opts.samples.max(2));
+        for _ in 0..self.suite.opts.samples.max(2) {
             let t = Instant::now();
             for _ in 0..iters_per_sample {
                 black_box(f());
@@ -409,45 +369,14 @@ fn fmt_ns(ns: f64) -> String {
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> std::vec::IntoIter<String> {
-        v.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
-
-    #[test]
-    fn option_parsing() {
-        let o = Options::parse(args(&["--smoke", "--samples", "7", "cyk"])).unwrap();
-        assert!(o.smoke);
-        assert_eq!(o.samples, 7);
-        assert_eq!(o.filter.as_deref(), Some("cyk"));
-
-        let o = Options::parse(args(&["--warmup-ms", "5", "--out-dir", "/tmp/x"])).unwrap();
-        assert!(!o.smoke);
-        assert_eq!(o.warmup_ms, 5);
-        assert_eq!(o.out_dir, PathBuf::from("/tmp/x"));
-
-        // --samples floor of 2 keeps statistics meaningful.
-        assert_eq!(
-            Options::parse(args(&["--samples", "0"])).unwrap().samples,
-            2
-        );
-    }
-
-    #[test]
-    fn option_parsing_rejects_typos_and_bad_numbers() {
-        for bad in [
-            &["--smok"][..],
-            &["--bench"],
-            &["--samples", "many"],
-            &["--samples", "-3"],
-            &["--warmup-ms", "1.5"],
-            &["--samples"],
-            &["--out-dir"],
-        ] {
-            assert!(Options::parse(args(bad)).is_err(), "accepted {bad:?}");
-        }
+    fn suite(smoke: bool, list: bool, filter: Option<&str>) -> Suite {
+        let opts = Options {
+            smoke,
+            list,
+            filter: filter.map(str::to_string),
+            ..Options::default()
+        };
+        Suite::with_options("t", opts)
     }
 
     #[test]
@@ -467,7 +396,7 @@ mod tests {
     #[test]
     fn smoke_runs_each_bench_once() {
         let mut calls = 0u32;
-        let mut suite = Suite::with_args("t", args(&["--smoke"]));
+        let mut suite = suite(true, false, None);
         let mut g = suite.group("grp");
         g.bench("one", || calls += 1);
         g.bench("two", || calls += 1);
@@ -483,7 +412,7 @@ mod tests {
     #[test]
     fn list_mode_enumerates_without_running() {
         let mut calls = 0u32;
-        let mut suite = Suite::with_args("t", args(&["--list"]));
+        let mut suite = suite(false, true, None);
         assert!(suite.is_list());
         let mut g = suite.group("grp");
         g.bench("one", || calls += 1);
@@ -496,7 +425,7 @@ mod tests {
 
     #[test]
     fn list_mode_respects_filter() {
-        let mut suite = Suite::with_args("t", args(&["--list", "keep"]));
+        let mut suite = suite(false, true, Some("keep"));
         let mut g = suite.group("grp");
         g.bench("keep_me", || ());
         g.bench("drop_me", || ());
@@ -505,7 +434,7 @@ mod tests {
 
     #[test]
     fn filter_skips_non_matching() {
-        let mut suite = Suite::with_args("t", args(&["--smoke", "keep"]));
+        let mut suite = suite(true, false, Some("keep"));
         let mut g = suite.group("grp");
         g.bench("keep_me", || ());
         g.bench("drop_me", || ());
@@ -514,7 +443,12 @@ mod tests {
 
     #[test]
     fn timed_mode_produces_ordered_stats() {
-        let mut suite = Suite::with_args("t", args(&["--samples", "5", "--warmup-ms", "1"]));
+        let opts = Options {
+            samples: 5,
+            warmup_ms: 1,
+            ..Options::default()
+        };
+        let mut suite = Suite::with_options("t", opts);
         let mut g = suite.group("grp");
         g.bench("spin", || {
             let mut x = 0u64;
@@ -530,6 +464,16 @@ mod tests {
         assert!(rec.stats.median_ns <= rec.stats.p95_ns);
         assert!(rec.stats.p95_ns <= rec.stats.max_ns);
         assert!(rec.stats.min_ns > 0.0);
+        assert_eq!(rec.samples, 5);
+        // Fewer than two samples would make the statistics meaningless.
+        let opts = Options {
+            samples: 0,
+            warmup_ms: 1,
+            ..Options::default()
+        };
+        let mut suite = Suite::with_options("t", opts);
+        suite.group("grp").bench("nop", || ());
+        assert_eq!(suite.records[0].samples, 2);
     }
 
     #[test]
@@ -541,8 +485,11 @@ mod tests {
     #[test]
     fn finish_writes_json_file() {
         let dir = std::env::temp_dir().join(format!("ucfg_bench_test_{}", std::process::id()));
-        let mut opts = Options::parse(args(&["--smoke"])).unwrap();
-        opts.out_dir = dir.clone();
+        let opts = Options {
+            smoke: true,
+            out_dir: dir.clone(),
+            ..Options::default()
+        };
         let mut suite = Suite::with_options("filetest", opts);
         suite.group("g").bench("b", || 1 + 1);
         suite.finish();

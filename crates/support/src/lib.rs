@@ -1,7 +1,7 @@
 //! # ucfg-support — hermetic workspace support
 //!
 //! In-tree, zero-dependency replacements for the three external crates the
-//! workspace used, so `cargo build`, `cargo test` and the `bench` binary
+//! workspace used, so `cargo build`, `cargo test` and `ucfg bench`
 //! work fully offline and bit-for-bit reproducibly:
 //!
 //! - [`rng`] — deterministic seedable PRNGs (SplitMix64, xoshiro256**)
@@ -18,7 +18,7 @@
 //! - [`obs`] — a process-wide observability layer (counters / gauges /
 //!   duration histograms behind atomics, RAII spans, a deterministic
 //!   `out/METRICS_*.json` exporter), off by default and switched on by
-//!   `UCFG_TRACE=1` or the binaries' `--trace` flag,
+//!   `UCFG_TRACE=1` or `ucfg --trace`,
 //! - [`fnv`] — a stable FNV-1a 64-bit hasher for content-addressed
 //!   artifact caching (`std::hash` is seed-randomised per process, so
 //!   it cannot produce stable cache keys),

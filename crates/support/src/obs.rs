@@ -10,8 +10,8 @@
 //! mutation first checks a single relaxed [`AtomicBool`], so an
 //! uninstrumented run pays one predictable branch per probe. Tracing is
 //! switched on by the `UCFG_TRACE=1` environment variable (read once) or
-//! programmatically via [`set_enabled`] — the funnel behind the binaries'
-//! `--trace` flag.
+//! programmatically via [`set_enabled`] — the funnel behind
+//! `ucfg --trace`.
 //!
 //! Metrics live in two strata so CI can assert thread-count determinism:
 //!
@@ -25,7 +25,7 @@
 //! [`export_json`] renders the registry with sorted keys and the whole
 //! volatile stratum *last*, so `sed '/"volatile"/,$d'` cuts a
 //! byte-comparable deterministic prefix; [`write_metrics`] lands it in
-//! `out/METRICS_<bin>.json` (`$UCFG_OUT_DIR`-aware) and [`summary`]
+//! `out/METRICS_<command>.json` (`$UCFG_OUT_DIR`-aware) and [`summary`]
 //! renders a one-screen table for end-of-run stderr.
 //!
 //! ```
@@ -522,7 +522,8 @@ fn write_map<V>(
 }
 
 /// Write [`export_json`] to `out/METRICS_<bin>.json` (honouring
-/// `$UCFG_OUT_DIR`) and return the path.
+/// `$UCFG_OUT_DIR`) and return the path. `ucfg` calls it once per
+/// process, with the command's name as `bin`.
 pub fn write_metrics(bin: &str) -> std::io::Result<PathBuf> {
     let dir = crate::bench::out_dir();
     std::fs::create_dir_all(&dir)?;
@@ -575,22 +576,6 @@ fn fmt_ns(ns: u64) -> String {
         10_000_000..=9_999_999_999 => format!("{}ms", ns / 1_000_000),
         _ => format!("{:.1}s", ns as f64 / 1e9),
     }
-}
-
-/// Remove every `--trace` occurrence from `args`; the second component
-/// reports whether any was present (callers then flip [`set_enabled`]).
-pub fn strip_trace_flag(args: &[String]) -> (Vec<String>, bool) {
-    let mut found = false;
-    let rest = args
-        .iter()
-        .filter(|a| {
-            let hit = a.as_str() == "--trace";
-            found |= hit;
-            !hit
-        })
-        .cloned()
-        .collect();
-    (rest, found)
 }
 
 #[cfg(test)]
@@ -709,20 +694,6 @@ mod tests {
         let s = summary();
         assert!(s.contains("test.summary.hits"));
         assert!(s.contains('4'));
-    }
-
-    #[test]
-    fn trace_flag_is_stripped() {
-        let args: Vec<String> = ["run", "--trace", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, found) = strip_trace_flag(&args);
-        assert!(found);
-        assert_eq!(rest, vec!["run".to_string(), "x".to_string()]);
-        let (rest, found) = strip_trace_flag(&rest);
-        assert!(!found);
-        assert_eq!(rest.len(), 2);
     }
 
     #[test]

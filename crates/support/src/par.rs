@@ -37,60 +37,33 @@ pub const THREADS_ENV: &str = "UCFG_THREADS";
 /// length alone, so results never depend on it reaching saturation.
 const MAX_CHUNKS: usize = 64;
 
-/// Parse a thread-count override; `None` on absent/unusable values.
-fn parse_threads(spec: Option<&str>) -> Option<usize> {
-    spec?.trim().parse::<usize>().ok().filter(|&t| t >= 1)
+/// Parse a thread-count override (`ucfg --threads` or [`THREADS_ENV`]);
+/// `Err` carries the reason.
+pub fn parse_threads(spec: &str) -> Result<usize, String> {
+    spec.trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|&t| t >= 1)
+        .ok_or_else(|| format!("invalid thread count '{spec}' (want an integer ≥ 1)"))
 }
 
 /// The worker-thread count: `UCFG_THREADS` when set to a positive integer,
 /// else the machine's available parallelism (at least 1).
 pub fn thread_count() -> usize {
-    parse_threads(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    })
+    match std::env::var(THREADS_ENV).map(|spec| parse_threads(&spec)) {
+        Ok(Ok(threads)) => threads,
+        _ => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    }
 }
 
 /// Override the worker-thread count for this process by setting
-/// [`THREADS_ENV`] — the funnel behind the binaries' `--threads` flag, so
-/// a per-invocation override reaches every kernel that defaults to
+/// [`THREADS_ENV`] — the funnel behind `ucfg --threads`, so a
+/// per-invocation override reaches every kernel that defaults to
 /// [`thread_count`]. Kernel results are bit-identical across counts, so
 /// this only changes how fast they run.
 pub fn set_thread_count(threads: usize) {
     assert!(threads >= 1, "thread count must be ≥ 1");
     std::env::set_var(THREADS_ENV, threads.to_string());
-}
-
-/// Strip every thread-override flag from a binary's argument list,
-/// applying the override via [`set_thread_count`], and return the
-/// remaining arguments. All four conventional spellings are accepted:
-/// `--threads N`, `-j N`, `--threads=N` and `-jN`. A flag with a
-/// missing, zero or non-numeric count is an error (not silently
-/// ignored), so `--threads banana` can never be misread as a command.
-pub fn strip_thread_flags(args: &[String]) -> Result<Vec<String>, String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let spec: Option<std::borrow::Cow<'_, str>> = if arg == "--threads" || arg == "-j" {
-            match iter.next() {
-                Some(v) => Some(v.as_str().into()),
-                None => return Err(format!("{arg} requires a thread count")),
-            }
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            Some(v.into())
-        } else {
-            arg.strip_prefix("-j")
-                .filter(|v| !v.is_empty())
-                .map(|v| v.into())
-        };
-        match spec {
-            Some(v) => match parse_threads(Some(&v)) {
-                Some(t) => set_thread_count(t),
-                None => return Err(format!("invalid thread count '{v}' (want an integer ≥ 1)")),
-            },
-            None => rest.push(arg.clone()),
-        }
-    }
-    Ok(rest)
 }
 
 /// The fixed chunk size for an input of `len` items: at most
@@ -214,12 +187,11 @@ mod tests {
 
     #[test]
     fn thread_spec_parsing() {
-        assert_eq!(parse_threads(None), None);
-        assert_eq!(parse_threads(Some("")), None);
-        assert_eq!(parse_threads(Some("0")), None);
-        assert_eq!(parse_threads(Some("banana")), None);
-        assert_eq!(parse_threads(Some("1")), Some(1));
-        assert_eq!(parse_threads(Some(" 8 ")), Some(8));
+        for bad in ["", "0", "banana", "-1"] {
+            assert!(parse_threads(bad).is_err(), "spec {bad:?}");
+        }
+        assert_eq!(parse_threads("1"), Ok(1));
+        assert_eq!(parse_threads(" 8 "), Ok(8));
     }
 
     #[test]
@@ -294,42 +266,5 @@ mod tests {
     #[test]
     fn thread_count_is_positive() {
         assert!(thread_count() >= 1);
-    }
-
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn strip_thread_flags_accepts_all_four_spellings() {
-        for form in [
-            &["--threads", "3", "cmd"][..],
-            &["-j", "3", "cmd"],
-            &["--threads=3", "cmd"],
-            &["-j3", "cmd"],
-        ] {
-            let rest = strip_thread_flags(&argv(form)).expect("valid spelling");
-            assert_eq!(rest, argv(&["cmd"]), "form {form:?}");
-            assert_eq!(thread_count(), 3, "form {form:?}");
-        }
-        // Later flags win; non-flag args pass through in order.
-        let rest = strip_thread_flags(&argv(&["a", "-j2", "b", "--threads=5"])).unwrap();
-        assert_eq!(rest, argv(&["a", "b"]));
-        assert_eq!(thread_count(), 5);
-        std::env::remove_var(THREADS_ENV);
-    }
-
-    #[test]
-    fn strip_thread_flags_rejects_bad_counts() {
-        for bad in [
-            &["--threads"][..],
-            &["-j"],
-            &["--threads", "0"],
-            &["--threads=banana"],
-            &["-j0"],
-            &["-jx"],
-        ] {
-            assert!(strip_thread_flags(&argv(bad)).is_err(), "form {bad:?}");
-        }
     }
 }
