@@ -10,7 +10,7 @@ use ucfg_grammar::earley::{Earley, InsideCounter};
 use ucfg_grammar::normal_form::CnfGrammar;
 use ucfg_grammar::parse_tree::FixedLenParser;
 use ucfg_grammar::sample::TreeSampler;
-use ucfg_grammar::text::parse_grammar;
+use ucfg_grammar::text::{parse_grammar, print_grammar};
 use ucfg_grammar::Terminal;
 use ucfg_support::bench::{Options, Suite};
 use ucfg_support::rng::{Rng, SeedableRng, StdRng};
@@ -70,10 +70,11 @@ fn bench_count_catalan(suite: &mut Suite) {
     g.bench("earley_inside", || counter.count(black_box(&word)));
 }
 
-/// A random grammar of the shape `daemonbench`'s `parse_cold` workload
-/// sends: 24 non-terminals of 5 alternatives over `a`–`d`, the first
-/// terminal-only, the others 2–4 symbols. Its CNF has about 220 rules.
-fn random_cold_grammar(rng: &mut StdRng) -> CnfGrammar {
+/// A random grammar text of the shape `daemonbench`'s `parse_cold`
+/// workload sends: 24 non-terminals of 5 alternatives over `a`–`d`, the
+/// first terminal-only, the others 2–4 symbols. Its CNF has about 220
+/// rules.
+fn random_cold_text(rng: &mut StdRng) -> String {
     let name = |i: usize| match i {
         0 => "S".to_string(),
         _ => format!("N{i}"),
@@ -97,7 +98,42 @@ fn random_cold_grammar(rng: &mut StdRng) -> CnfGrammar {
         }
         text.push_str(&format!("{} -> {}\n", name(i), alts.join(" | ")));
     }
+    text
+}
+
+/// [`random_cold_text`], read and converted to CNF.
+fn random_cold_grammar(rng: &mut StdRng) -> CnfGrammar {
+    let text = random_cold_text(rng);
     CnfGrammar::from_grammar(&parse_grammar(&text).expect("generated grammar text parses"))
+}
+
+/// The compile work of a `/parse` that misses the cache, stage by stage:
+/// reading the grammar text, its content hash (the cache key), the CNF
+/// conversion and the CYK rule index. On a `parse_cold`-shaped random
+/// grammar, on `appendix-a` n = 64 (as printed text: unit rules and a
+/// five-symbol body) and on a Dyck grammar (an ε-rule).
+fn bench_compile(suite: &mut Suite) {
+    let mut rng = StdRng::seed_from_u64(25);
+    let texts = [
+        ("cold", random_cold_text(&mut rng)),
+        ("appendix-a-64", print_grammar(&appendix_a_grammar(64))),
+        ("dyck", "S -> a S b S | ()".to_string()),
+    ];
+    let mut g = suite.group("compile");
+    for (name, text) in &texts {
+        let grammar = parse_grammar(text).expect("bench grammar text parses");
+        let cnf = CnfGrammar::from_grammar(&grammar);
+        g.bench(&format!("text/{name}"), || parse_grammar(black_box(text)));
+        g.bench(&format!("hash/{name}"), || {
+            black_box(&grammar).content_hash()
+        });
+        g.bench(&format!("cnf/{name}"), || {
+            CnfGrammar::from_grammar(black_box(&grammar))
+        });
+        g.bench(&format!("index/{name}"), || {
+            CykRuleIndex::new(black_box(&cnf))
+        });
+    }
 }
 
 /// Words grouped by their length.
@@ -258,6 +294,7 @@ pub(super) fn build(opts: Options) -> Suite {
     bench_cyk_count(&mut suite);
     bench_count_catalan(&mut suite);
     bench_parse_count(&mut suite);
+    bench_compile(&mut suite);
     bench_fixed_len_parser(&mut suite);
     bench_earley(&mut suite);
     bench_nfa(&mut suite);

@@ -418,6 +418,15 @@ pub fn cmd_serve(a: &Invocation) -> Result<String, CliError> {
 /// The daemon configuration `ucfg serve`'s flags ask for.
 fn serve_config(a: &Invocation) -> Result<ucfg_serve::ServeConfig, CliError> {
     let d = ucfg_serve::ServeConfig::default();
+    // The server would run one shard for 0; refuse rather than report a
+    // count it does not run.
+    let shards = match a.num("--shards")? {
+        Some(0) => {
+            let given = a.value("--shards").unwrap_or_default();
+            return Err(err(format!("invalid --shards value {given:?}")));
+        }
+        n => n.unwrap_or(d.shards),
+    };
     Ok(ucfg_serve::ServeConfig {
         host: a.value("--host").map_or(d.host, str::to_string),
         port: a.num("--port")?.unwrap_or(d.port),
@@ -425,7 +434,7 @@ fn serve_config(a: &Invocation) -> Result<ucfg_serve::ServeConfig, CliError> {
         deadline_ms: a.num("--deadline-ms")?.unwrap_or(d.deadline_ms),
         cache_capacity: a.num("--cache-capacity")?.unwrap_or(d.cache_capacity),
         max_connections: a.num("--max-connections")?.unwrap_or(d.max_connections),
-        shards: a.num("--shards")?.unwrap_or(d.shards),
+        shards,
         max_body_bytes: a.num("--max-body-bytes")?.unwrap_or(d.max_body_bytes),
         request_timeout_ms: a
             .num("--request-timeout-ms")?
@@ -1244,6 +1253,14 @@ mod tests {
                 "accepted {bad:?}"
             );
         }
+        // Zero shards is refused like zero threads, in both spellings,
+        // before any daemon starts.
+        for zero in [&["--shards", "0"][..], &["--shards=0"], &["--shards", "00"]] {
+            let e = config(&[&["serve"], zero].concat()).unwrap_err();
+            let given = zero.last().unwrap().trim_start_matches("--shards=");
+            assert_eq!(e.to_string(), format!("invalid --shards value {given:?}"));
+        }
+        assert!(ucfg(&["serve", "--shards", "0"], "").is_err());
         // The daemon takes no positional arguments.
         assert!(ucfg(&["serve", "extra"], "").is_err());
     }

@@ -198,28 +198,28 @@ impl Grammar {
     /// interchangeable byte for byte.
     pub fn content_hash(&self) -> u64 {
         use ucfg_support::fnv::Fnv1a;
-        let mut encoded: Vec<Vec<u8>> = self
-            .rules
-            .iter()
-            .map(|r| {
-                let mut e = Vec::with_capacity(4 + 5 * r.rhs.len());
-                e.extend_from_slice(&(r.lhs.0).to_le_bytes());
-                for &s in &r.rhs {
-                    match s {
-                        Symbol::T(t) => {
-                            e.push(0);
-                            e.extend_from_slice(&t.0.to_le_bytes());
-                        }
-                        Symbol::N(n) => {
-                            e.push(1);
-                            e.extend_from_slice(&n.0.to_le_bytes());
-                        }
+        // Every rule's encoding back to back in one buffer, addressed by
+        // spans, so sorting moves spans instead of per-rule buffers.
+        let mut bytes = Vec::with_capacity(4 * self.rules.len() + 5 * self.size());
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(self.rules.len());
+        for r in &self.rules {
+            let start = bytes.len();
+            bytes.extend_from_slice(&(r.lhs.0).to_le_bytes());
+            for &s in &r.rhs {
+                match s {
+                    Symbol::T(t) => {
+                        bytes.push(0);
+                        bytes.extend_from_slice(&t.0.to_le_bytes());
+                    }
+                    Symbol::N(n) => {
+                        bytes.push(1);
+                        bytes.extend_from_slice(&n.0.to_le_bytes());
                     }
                 }
-                e
-            })
-            .collect();
-        encoded.sort_unstable();
+            }
+            spans.push((start, bytes.len()));
+        }
+        spans.sort_unstable_by(|&(a, b), &(c, d)| bytes[a..b].cmp(&bytes[c..d]));
 
         let mut h = Fnv1a::new();
         h.write(b"ucfg-cfg-v1");
@@ -229,11 +229,11 @@ impl Grammar {
         }
         h.write_usize(self.nonterminal_names.len());
         h.write_u32(self.start.0);
-        h.write_usize(encoded.len());
-        for e in &encoded {
+        h.write_usize(spans.len());
+        for &(start, end) in &spans {
             // Length-prefix each rule so concatenations can't collide.
-            h.write_usize(e.len());
-            h.write(e);
+            h.write_usize(end - start);
+            h.write(&bytes[start..end]);
         }
         h.finish()
     }

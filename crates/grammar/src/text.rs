@@ -14,6 +14,14 @@
 //! introduces bodies. Tokens are whitespace-separated except that a bare
 //! word of terminals like `abba` is a sequence of terminal letters.
 //!
+//! The reader makes one pass over the text, on `&str` slices: it interns
+//! each name where it first appears and notes the terminal letters, then
+//! settles the ids once the whole text is read. Letters are numbered in
+//! `char` order; left-hand sides come first, in line order (the first is
+//! the start), then names that occur only in bodies, in order of first
+//! use. Of several faults, the first in the text is reported, except that
+//! a misplaced ε is reported only if the text has no other fault.
+//!
 //! ```
 //! use ucfg_grammar::text::{parse_grammar, print_grammar};
 //! use ucfg_grammar::language::finite_language;
@@ -24,10 +32,9 @@
 //! assert_eq!(finite_language(&round), finite_language(&g));
 //! ```
 
-use crate::builder::GrammarBuilder;
-use crate::cfg::Grammar;
-use crate::symbol::Symbol;
-use std::collections::BTreeSet;
+use crate::cfg::{Grammar, Rule};
+use crate::symbol::{NonTerminal, Symbol, Terminal};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Parse errors with line information.
@@ -52,100 +59,166 @@ fn is_nonterminal_token(tok: &str) -> bool {
         || (tok.len() > 1 && tok.chars().next().is_some_and(|c| c == '⟨' || c == '('))
 }
 
+/// A body symbol before ids are settled: a name's interning index, or
+/// `LETTER | c` for the terminal letter `c`.
+const LETTER: u32 = 1 << 31;
+/// No left-hand-side rank: the name has only occurred in bodies.
+const NONE: u32 = u32::MAX;
+
+/// Names in order of first appearance, with their ranks as left-hand
+/// sides.
+#[derive(Default)]
+struct Names<'a> {
+    index: HashMap<&'a str, u32>,
+    spelling: Vec<&'a str>,
+    lhs_rank: Vec<u32>,
+    lhs_count: u32,
+}
+
+impl<'a> Names<'a> {
+    fn intern(&mut self, name: &'a str) -> u32 {
+        let next = self.spelling.len() as u32;
+        let i = *self.index.entry(name).or_insert(next);
+        if i == next {
+            self.spelling.push(name);
+            self.lhs_rank.push(NONE);
+        }
+        i
+    }
+
+    fn intern_lhs(&mut self, name: &'a str) -> u32 {
+        let i = self.intern(name);
+        if self.lhs_rank[i as usize] == NONE {
+            self.lhs_rank[i as usize] = self.lhs_count;
+            self.lhs_count += 1;
+        }
+        i
+    }
+
+    /// The final id of every interned name, and the names in id order.
+    fn settle(self) -> (Vec<u32>, Vec<String>) {
+        let mut next = self.lhs_count;
+        let ids: Vec<u32> = self
+            .lhs_rank
+            .iter()
+            .map(|&rank| match rank {
+                NONE => {
+                    next += 1;
+                    next - 1
+                }
+                rank => rank,
+            })
+            .collect();
+        let mut names = vec![String::new(); ids.len()];
+        for (&id, name) in ids.iter().zip(&self.spelling) {
+            names[id as usize] = name.to_string();
+        }
+        (ids, names)
+    }
+}
+
 /// Parse a grammar from the text format.
 pub fn parse_grammar(src: &str) -> Result<Grammar, TextError> {
-    // First pass: collect the alphabet (terminal letters) and rule lines.
-    struct Line {
-        no: usize,
-        lhs: String,
-        alts: Vec<Vec<String>>,
-    }
-    let mut lines: Vec<Line> = Vec::new();
-    let mut alphabet: BTreeSet<char> = BTreeSet::new();
+    let mut names = Names::default();
+    let mut ascii_letters = 0u128;
+    let mut other_letters: Vec<char> = Vec::new();
+    // One entry per alternative: its lhs and where its body ends in
+    // `syms`; the bodies lie back to back.
+    let mut alts: Vec<(u32, usize)> = Vec::new();
+    let mut syms: Vec<u32> = Vec::new();
+    let mut misplaced_eps = None;
     for (no, raw) in src.lines().enumerate() {
         let no = no + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (lhs, rest) = line
-            .split_once("->")
-            .or_else(|| line.split_once('→'))
-            .ok_or_else(|| TextError {
-                line: no,
-                msg: "missing '->'".into(),
-            })?;
-        let lhs = lhs.trim().to_string();
-        if lhs.is_empty() || !is_nonterminal_token(&lhs) {
-            return Err(TextError {
-                line: no,
-                msg: format!("left-hand side {lhs:?} must be a non-terminal (Upper-case)"),
-            });
+        let fault = |msg: String| Err(TextError { line: no, msg });
+        let Some((lhs, rest)) = line.split_once("->").or_else(|| line.split_once('→')) else {
+            return fault("missing '->'".into());
+        };
+        let lhs = lhs.trim();
+        if lhs.is_empty() || !is_nonterminal_token(lhs) {
+            return fault(format!(
+                "left-hand side {lhs:?} must be a non-terminal (Upper-case)"
+            ));
         }
-        let mut alts = Vec::new();
+        let lhs = names.intern_lhs(lhs);
         for alt in rest.split('|') {
-            let toks: Vec<String> = alt.split_whitespace().map(str::to_string).collect();
-            if toks.is_empty() {
-                return Err(TextError {
-                    line: no,
-                    msg: "empty alternative (use () for ε)".into(),
-                });
-            }
-            for t in &toks {
-                if !is_nonterminal_token(t) && t != "()" && t != "eps" {
-                    for c in t.chars() {
-                        if c.is_uppercase() {
-                            return Err(TextError {
-                                line: no,
-                                msg: format!("mixed-case token {t:?}"),
-                            });
-                        }
-                        alphabet.insert(c);
-                    }
-                }
-            }
-            alts.push(toks);
-        }
-        lines.push(Line { no, lhs, alts });
-    }
-    let first = lines.first().ok_or(TextError {
-        line: 0,
-        msg: "no rules".into(),
-    })?;
-    let alphabet: Vec<char> = alphabet.into_iter().collect();
-    let mut b = GrammarBuilder::new(&alphabet);
-    let start = b.nonterminal(&first.lhs);
-    // Pre-intern all lhs so rules can forward-reference.
-    for l in &lines {
-        b.nonterminal(&l.lhs);
-    }
-    for l in &lines {
-        let lhs = b.nonterminal(&l.lhs);
-        for alt in &l.alts {
-            if alt.len() == 1 && (alt[0] == "()" || alt[0] == "eps") {
-                b.epsilon_rule(lhs);
-                continue;
-            }
-            let mut rhs: Vec<Symbol> = Vec::new();
-            for tok in alt {
+            let (mut tokens, mut eps) = (0, 0);
+            for tok in alt.split_whitespace() {
+                tokens += 1;
                 if tok == "()" || tok == "eps" {
-                    return Err(TextError {
-                        line: l.no,
-                        msg: "ε may only stand alone in an alternative".into(),
-                    });
-                }
-                if is_nonterminal_token(tok) {
-                    rhs.push(Symbol::N(b.nonterminal(tok)));
+                    eps += 1;
+                } else if is_nonterminal_token(tok) {
+                    syms.push(names.intern(tok));
                 } else {
                     for c in tok.chars() {
-                        rhs.push(Symbol::T(b.terminal(c)));
+                        if c.is_uppercase() {
+                            return fault(format!("mixed-case token {tok:?}"));
+                        }
+                        match c {
+                            c if c.is_ascii() => ascii_letters |= 1 << c as u32,
+                            c => other_letters.push(c),
+                        }
+                        syms.push(LETTER | c as u32);
                     }
                 }
             }
-            b.raw_rule(lhs, rhs);
+            match (tokens, eps) {
+                (0, _) => return fault("empty alternative (use () for ε)".into()),
+                (_, 0) | (1, 1) => {}
+                _ => {
+                    misplaced_eps.get_or_insert(no);
+                }
+            }
+            alts.push((lhs, syms.len()));
         }
     }
-    Ok(b.build(start))
+    if alts.is_empty() {
+        return Err(TextError {
+            line: 0,
+            msg: "no rules".into(),
+        });
+    }
+    if let Some(line) = misplaced_eps {
+        return Err(TextError {
+            line,
+            msg: "ε may only stand alone in an alternative".into(),
+        });
+    }
+
+    other_letters.sort_unstable();
+    other_letters.dedup();
+    let alphabet: Vec<char> = (0..128u8)
+        .filter(|&b| (ascii_letters >> b) & 1 == 1)
+        .map(char::from)
+        .chain(other_letters)
+        .collect();
+    let (ids, names) = names.settle();
+    let symbol = |s: u32| match s & LETTER {
+        0 => Symbol::N(NonTerminal(ids[s as usize])),
+        _ => {
+            let c = char::from_u32(s & !LETTER).expect("stored from a char");
+            let t = alphabet
+                .binary_search(&c)
+                .expect("every letter is in the alphabet");
+            Symbol::T(Terminal(t as u16))
+        }
+    };
+    let mut begin = 0;
+    let rules = alts
+        .iter()
+        .map(|&(lhs, end)| {
+            let rhs = syms[begin..end].iter().map(|&s| symbol(s)).collect();
+            begin = end;
+            Rule {
+                lhs: NonTerminal(ids[lhs as usize]),
+                rhs,
+            }
+        })
+        .collect();
+    Ok(Grammar::from_parts(alphabet, names, rules, NonTerminal(0)))
 }
 
 /// Print in the text format (round-trips through [`parse_grammar`] up to

@@ -370,39 +370,47 @@ impl Scheduler {
     }
 
     fn run_group(&self, cache: &Mutex<ArtifactCache>, key: u64, jobs: Vec<ParseJob>) {
+        // On a miss the first job's grammar moves into the compile; the
+        // rest are dropped only after the replies are out, off the
+        // requests' critical path. The pool maps over (word, check) pairs,
+        // since the reply sinks aren't `Sync`, and the replies fan out
+        // afterwards.
+        let mut grammars = Vec::with_capacity(jobs.len());
+        let mut inputs = Vec::with_capacity(jobs.len());
+        let mut replies = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            grammars.push(job.grammar);
+            inputs.push((job.word, job.check));
+            replies.push(job.reply);
+        }
         // One artifact resolve per group: the whole point of batching.
         let resolved = cache
             .lock()
             .expect("cache poisoned")
             .get_or_insert_with(key, || {
-                Ok(Artifact::Grammar(GrammarArtifact::compile(
-                    jobs[0].grammar.clone(),
-                )))
+                let grammar = grammars.swap_remove(0);
+                Ok(Artifact::Grammar(GrammarArtifact::compile(grammar)))
             });
         let (art, hit) = match resolved {
             Ok((Artifact::Grammar(g), hit)) => (g, hit),
             Ok((Artifact::Rects(_), _)) => {
-                for j in jobs {
-                    j.reply
-                        .send(Err(ApiError::Internal("key collision in cache".into())));
+                for reply in replies {
+                    reply.send(Err(ApiError::Internal("key collision in cache".into())));
                 }
                 return;
             }
             Err(e) => {
-                for j in jobs {
-                    j.reply.send(Err(e.clone()));
+                for reply in replies {
+                    reply.send(Err(e.clone()));
                 }
                 return;
             }
         };
 
         let _t = obs::span!("serve.batch.run");
-        // The sinks aren't `Sync`, so the pool maps over (word, check)
-        // pairs and the replies fan out afterwards.
-        let inputs: Vec<(String, bool)> = jobs.iter().map(|j| (j.word.clone(), j.check)).collect();
         let outcomes = par::par_map(&inputs, |(word, check)| run_one(&art, word, *check, hit));
-        for (job, outcome) in jobs.into_iter().zip(outcomes) {
-            job.reply.send(outcome);
+        for (reply, outcome) in replies.into_iter().zip(outcomes) {
+            reply.send(outcome);
         }
     }
 }

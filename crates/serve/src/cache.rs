@@ -115,8 +115,14 @@ impl GrammarArtifact {
         let _t = obs::span!("serve.compile.grammar");
         let hash = grammar.content_hash();
         let nullable = nullable(&grammar);
-        let cnf = CnfGrammar::from_grammar(&grammar);
-        let index = CykRuleIndex::new(&cnf);
+        let cnf = {
+            let _t = obs::span!("serve.compile.cnf");
+            CnfGrammar::from_grammar(&grammar)
+        };
+        let index = {
+            let _t = obs::span!("serve.compile.index");
+            CykRuleIndex::new(&cnf)
+        };
         Arc::new(GrammarArtifact {
             hash,
             grammar,

@@ -927,9 +927,14 @@ fn parse_spec(state: &State, req: &Request) -> Result<Routed, ApiError> {
         return Err(ApiError::ShuttingDown);
     }
     let preq = parse_body(req).and_then(|b| ParseRequest::from_json(&b))?;
-    let grammar = preq.spec.build()?;
+    let (grammar, key) = {
+        let _t = obs::span!("serve.parse.grammar");
+        let grammar = preq.spec.build()?;
+        let key = grammar.content_hash();
+        (grammar, key)
+    };
     Ok(Routed::Enqueue(JobSpec::Parse {
-        key: grammar.content_hash(),
+        key,
         grammar,
         word: preq.word,
         check: preq.check,
