@@ -11,9 +11,10 @@
 
 use std::hint::black_box;
 use ucfg_core::cover::{
-    discrepancy_accounting_scalar, discrepancy_accounting_threads, example8_cover,
-    overlap_histogram_scalar, overlap_histogram_threads, verify_cover_scalar_threads,
-    verify_cover_threads,
+    cover_bitmaps_threads, discrepancy_accounting_fold, discrepancy_accounting_scalar,
+    discrepancy_accounting_threads, discrepancy_bitmaps_threads, example8_cover,
+    overlap_histogram_scalar, overlap_histogram_threads, verify_cover_fold,
+    verify_cover_scalar_threads, verify_cover_threads,
 };
 use ucfg_core::discrepancy::{
     discrepancy_scalar, discrepancy_threads, exact_max_discrepancy_scalar_threads,
@@ -43,6 +44,14 @@ fn bench_verify_cover(suite: &mut Suite) {
             verify_cover_threads(black_box(n), &rects, 1).covers_exactly
         });
     }
+    // The fold alone over prebuilt bitmaps: what a daemon request costs
+    // once the family's bitmaps are cached.
+    let n = 10usize;
+    let rects = example8_cover(n);
+    let bitmaps = cover_bitmaps_threads(n, &rects, 1);
+    g.bench(&format!("fold/{n}"), || {
+        verify_cover_fold(black_box(n), &rects, &bitmaps).covers_exactly
+    });
 }
 
 fn bench_discrepancy(suite: &mut Suite) {
@@ -109,6 +118,10 @@ fn bench_histogram_and_accounting(suite: &mut Suite) {
         discrepancy_accounting_threads(black_box(n), &rects, 1)
             .0
             .len()
+    });
+    let bitmaps = discrepancy_bitmaps_threads(n, &rects, 1);
+    g.bench(&format!("fold/{n}"), || {
+        discrepancy_accounting_fold(black_box(n), &bitmaps).0.len()
     });
 }
 

@@ -504,6 +504,7 @@ pub fn cmd_query(a: &Invocation, stdin: &mut dyn Read) -> Result<String, CliErro
     };
     let mut client = connect(&target)?;
     let mut out = String::new();
+    let mut draining = false;
     for (lineno, line) in script.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -540,10 +541,13 @@ pub fn cmd_query(a: &Invocation, stdin: &mut dyn Read) -> Result<String, CliErro
         };
         let method =
             method.unwrap_or_else(|| if body.is_none() { "GET" } else { "POST" }.to_string());
-        send(&mut client, &mut out, &method, &path, body.as_deref())
+        let (status, _) = send(&mut client, &mut out, &method, &path, body.as_deref())
             .map_err(|e| err(format!("script line {}: {e}", lineno + 1)))?;
+        draining |= path == "/shutdown" && status == 200;
     }
-    if a.has("--shutdown") {
+    // A daemon that already accepted a scripted `/shutdown` has closed
+    // the connection, so `--shutdown` has nothing left to stop.
+    if a.has("--shutdown") && !draining {
         send(&mut client, &mut out, "POST", "/shutdown", None)?;
     }
     Ok(out)
@@ -1345,6 +1349,27 @@ mod tests {
         );
         assert!(lines[3].contains("draining"), "{out}");
         join.join().expect("clean join");
+    }
+
+    #[test]
+    fn query_shutdown_after_a_scripted_shutdown_succeeds() {
+        // The script stops the daemon itself; `--shutdown` must not try
+        // again on the closed connection.
+        let server = ucfg_serve::Server::bind(ucfg_serve::ServeConfig {
+            port: 0,
+            ..ucfg_serve::ServeConfig::default()
+        })
+        .expect("bind");
+        let port = server.local_addr().expect("addr").port().to_string();
+        let join = std::thread::spawn(move || server.run().expect("run"));
+        let script = "{\"path\": \"/healthz\"}\n\
+                      {\"path\": \"/shutdown\", \"method\": \"POST\"}\n";
+        let out = ucfg(&["query", "--port", &port, "--shutdown"], script).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert_eq!(lines[1], "200 {\"draining\":true}", "{out}");
+        let summary = join.join().expect("clean join");
+        assert_eq!(summary.requests, 2, "{summary:?}");
     }
 
     #[test]

@@ -31,23 +31,59 @@ pub struct CoverReport {
 
 /// Verify a family of set rectangles against `L_n`.
 ///
-/// Bitmap kernel: each rectangle's bitmap is built in `O(|S|·|T|)`
-/// ([`SetRectangle::to_wordset`]) and accumulated into a bit-sliced
-/// [`OverlapCounter`], which yields coverage (union equals the cached
-/// `L_n` bitmap), disjointness and the maximum overlap in one pass of
-/// word-level popcount algebra — no per-word `BTreeSet` probes. The old
-/// scan survives as [`verify_cover_scalar`], the differential reference
-/// of the property tests.
+/// Bitmap kernel, in two halves: [`cover_bitmaps_threads`] builds each
+/// rectangle's bitmap in `O(|S|·|T|)` ([`SetRectangle::to_wordset`]), and
+/// [`verify_cover_fold`] counts them bit-sliced, tile by tile, which
+/// yields coverage (union equals the cached `L_n` bitmap), disjointness
+/// and the maximum overlap in one pass of word-level popcount algebra —
+/// no per-word `BTreeSet` probes. A caller that verifies the same family
+/// repeatedly (the daemon) keeps the bitmaps and runs only the fold. The
+/// old scan survives as [`verify_cover_scalar`], the differential
+/// reference of the property tests.
 pub fn verify_cover(n: usize, rects: &[SetRectangle]) -> CoverReport {
     verify_cover_threads(n, rects, par::thread_count())
 }
 
 /// [`verify_cover`] with an explicit worker count (`threads = 1` is the
-/// serial reference path). The rectangle bitmaps are built on the
-/// deterministic parallel map and folded in rectangle order, so the
+/// serial reference path), routed through [`WordSetSource`] like
+/// [`cover_scan_threads`]. In memory the rectangle bitmaps are built on
+/// the deterministic parallel map and folded in rectangle order, so the
 /// report is bit-identical for every thread count.
 pub fn verify_cover_threads(n: usize, rects: &[SetRectangle], threads: usize) -> CoverReport {
-    cover_scan_threads(n, rects, threads).into_report()
+    match WordSetSource::for_word_domain(n) {
+        WordSetSource::Chunked(plan) => cover_scan_chunked(n, rects, threads, &plan).into_report(),
+        WordSetSource::InMemory { .. } => {
+            verify_cover_fold(n, rects, &cover_bitmaps_threads(n, rects, threads))
+        }
+    }
+}
+
+/// The build half of [`verify_cover`]: every rectangle's word-domain
+/// bitmap, in rectangle order, built on the deterministic parallel map
+/// (bit-identical for every `threads ≥ 1`). Always materialised: the
+/// caller keeps `n` within the [`wordset::MAX_DOMAIN_BITS`] cap.
+pub fn cover_bitmaps_threads(n: usize, rects: &[SetRectangle], threads: usize) -> Vec<WordSet> {
+    let _t = obs::span!("cover.bitmaps");
+    par::par_map_threads(rects, threads, |r| r.to_wordset(n))
+}
+
+/// The fold half of [`verify_cover`]: a serial pass over the bitmaps of
+/// [`cover_bitmaps_threads`] that computes the [`CoverReport`] facts and
+/// nothing else — the maximum overlap and whether the union is `L_n`,
+/// from one tiled bit-sliced count with no domain-sized temporary.
+pub fn verify_cover_fold(n: usize, rects: &[SetRectangle], bitmaps: &[WordSet]) -> CoverReport {
+    assert_eq!(rects.len(), bitmaps.len(), "one bitmap per rectangle");
+    obs::count!("cover.verify.calls");
+    obs::count!("cover.verify.rects", rects.len() as u64);
+    let _t = obs::span!("cover.verify");
+    let (max_overlap, covers_exactly) = wordset::overlap_fold(bitmaps, &wordset::ln_bitmap(n));
+    CoverReport {
+        size: rects.len(),
+        covers_exactly,
+        disjoint: max_overlap <= 1,
+        all_balanced: rects.iter().all(SetRectangle::is_balanced),
+        max_overlap,
+    }
 }
 
 impl CoverScan {
@@ -71,33 +107,28 @@ pub fn cover_scan(n: usize, rects: &[SetRectangle]) -> CoverScan {
 }
 
 /// [`cover_scan`] with an explicit worker count, routed through
-/// [`WordSetSource`]: in-memory below the materialisation cap (the PR 3
-/// bitmap kernel, one `OverlapCounter` over the whole domain), chunked
-/// above it or when `UCFG_WORDSET_CHUNK` forces the streamed path. Both
-/// paths fold the same per-word facts with order-free merges, so the scan
-/// is bit-identical across thread counts, chunk sizes, and the two
-/// routes.
+/// [`WordSetSource`]: in-memory below the materialisation cap (the
+/// build + fold of [`verify_cover`], plus the union for the digests),
+/// chunked above it or when `UCFG_WORDSET_CHUNK` forces the streamed
+/// path. Both paths fold the same per-word facts with order-free merges,
+/// so the scan is bit-identical across thread counts, chunk sizes, and
+/// the two routes.
 pub fn cover_scan_threads(n: usize, rects: &[SetRectangle], threads: usize) -> CoverScan {
-    obs::count!("cover.verify.calls");
-    obs::count!("cover.verify.rects", rects.len() as u64);
-    let _t = obs::span!("cover.verify");
     match WordSetSource::for_word_domain(n) {
-        WordSetSource::Chunked(plan) => {
-            chunked::cover_scan_chunked_threads(n, rects, threads, &plan)
-        }
+        WordSetSource::Chunked(plan) => cover_scan_chunked(n, rects, threads, &plan),
         WordSetSource::InMemory { .. } => {
-            let ln = wordset::ln_bitmap(n);
-            let bitmaps: Vec<WordSet> = par::par_map_threads(rects, threads, |r| r.to_wordset(n));
-            let mut counter = OverlapCounter::new(wordset::word_domain(n));
+            let bitmaps = cover_bitmaps_threads(n, rects, threads);
+            let report = verify_cover_fold(n, rects, &bitmaps);
+            let mut union = WordSet::empty_words(n);
             for bm in &bitmaps {
-                counter.add(bm);
+                union.union_with(bm);
             }
-            let union = counter.any();
+            let ln = wordset::ln_bitmap(n);
             CoverScan {
-                size: rects.len(),
-                covers_exactly: union == *ln,
-                all_balanced: rects.iter().all(SetRectangle::is_balanced),
-                max_overlap: counter.max_count(),
+                size: report.size,
+                covers_exactly: report.covers_exactly,
+                all_balanced: report.all_balanced,
+                max_overlap: report.max_overlap,
                 union_count: union.count(),
                 union_digest: chunked::set_digest(&union),
                 ln_count: ln.count(),
@@ -105,6 +136,20 @@ pub fn cover_scan_threads(n: usize, rects: &[SetRectangle], threads: usize) -> C
             }
         }
     }
+}
+
+/// The streamed route of [`verify_cover_threads`] and
+/// [`cover_scan_threads`], counted like the in-memory fold.
+fn cover_scan_chunked(
+    n: usize,
+    rects: &[SetRectangle],
+    threads: usize,
+    plan: &chunked::ChunkPlan,
+) -> CoverScan {
+    obs::count!("cover.verify.calls");
+    obs::count!("cover.verify.rects", rects.len() as u64);
+    let _t = obs::span!("cover.verify");
+    chunked::cover_scan_chunked_threads(n, rects, threads, plan)
 }
 
 /// The scalar reference for [`verify_cover`]: per-word membership probes
@@ -168,24 +213,70 @@ pub fn discrepancy_accounting(n: usize, rects: &[SetRectangle]) -> (Vec<i64>, bo
     discrepancy_accounting_threads(n, rects, par::thread_count())
 }
 
-/// [`discrepancy_accounting`] with an explicit worker count: the
-/// rectangles are spread over the deterministic parallel map (each
-/// discrepancy computed with the serial bitmap kernel, avoiding nested
-/// thread pools); results stay in rectangle order, so the vector is
-/// bit-identical for every thread count.
+/// [`discrepancy_accounting`] with an explicit worker count, in two
+/// halves like [`verify_cover_threads`]: [`discrepancy_bitmaps_threads`]
+/// builds the rectangles' family-rank bitmaps on the deterministic
+/// parallel map and [`discrepancy_accounting_fold`] takes two popcounts
+/// per rectangle against the cached `A`. Results stay in rectangle
+/// order, so the vector is bit-identical for every thread count. Past
+/// the cap (or under `UCFG_WORDSET_CHUNK`) each rectangle's discrepancy
+/// is streamed instead ([`discrepancy::discrepancy_threads`]).
 pub fn discrepancy_accounting_threads(
     n: usize,
     rects: &[SetRectangle],
     threads: usize,
 ) -> (Vec<i64>, bool) {
     assert!(discrepancy::supports_blocks(n));
-    let discs: Vec<i64> = par::par_map_threads(rects, threads, |r| {
-        discrepancy::discrepancy_threads(n, r, 1)
-    });
-    let total: i64 = discs.iter().sum();
+    if WordSetSource::for_family_domain(n).is_chunked() {
+        let discs: Vec<i64> = par::par_map_threads(rects, threads, |r| {
+            discrepancy::discrepancy_threads(n, r, 1)
+        });
+        let sums = sums_to_gap(n, &discs);
+        return (discs, sums);
+    }
+    discrepancy_accounting_fold(n, &discrepancy_bitmaps_threads(n, rects, threads))
+}
+
+/// The build half of [`discrepancy_accounting`]: every rectangle's
+/// family-rank bitmap ([`wordset::family_rectangle_bitmap_threads`], one
+/// worker each), in rectangle order, built on the deterministic parallel
+/// map. Always materialised: the caller keeps `n` within the
+/// [`wordset::MAX_DOMAIN_BITS`] cap.
+pub fn discrepancy_bitmaps_threads(
+    n: usize,
+    rects: &[SetRectangle],
+    threads: usize,
+) -> Vec<WordSet> {
+    assert!(discrepancy::supports_blocks(n));
+    let _t = obs::span!("discrepancy.bitmaps");
+    par::par_map_threads(rects, threads, |r| {
+        wordset::family_rectangle_bitmap_threads(n, r, 1)
+    })
+}
+
+/// The fold half of [`discrepancy_accounting`]: the signed discrepancy
+/// `|R ∩ A| − |R ∩ B|` of each bitmap of [`discrepancy_bitmaps_threads`]
+/// (two popcounts against the cached `A`), and whether they sum to the
+/// gap.
+pub fn discrepancy_accounting_fold(n: usize, bitmaps: &[WordSet]) -> (Vec<i64>, bool) {
+    assert!(discrepancy::supports_blocks(n));
+    obs::count!("discrepancy.calls", bitmaps.len() as u64);
+    let _t = obs::span!("discrepancy.accounting");
+    let a = wordset::family_a_bitmap(n);
+    let discs: Vec<i64> = bitmaps
+        .iter()
+        .map(|rect| discrepancy::signed_count(rect, &a))
+        .collect();
+    let sums = sums_to_gap(n, &discs);
+    (discs, sums)
+}
+
+/// Do the per-rectangle discrepancies sum to `|A ∩ L_n| − |B ∩ L_n| =
+/// 12^m − 8^m`?
+fn sums_to_gap(n: usize, discs: &[i64]) -> bool {
     let m = (n / 4) as u64;
     let expect = discrepancy::gap(m).to_u64().expect("small n") as i64;
-    (discs, total == expect)
+    discs.iter().sum::<i64>() == expect
 }
 
 /// The scalar reference for [`discrepancy_accounting`]: per-rectangle
@@ -196,10 +287,8 @@ pub fn discrepancy_accounting_scalar(n: usize, rects: &[SetRectangle]) -> (Vec<i
         .iter()
         .map(|r| discrepancy::discrepancy_scalar_threads(n, r, 1))
         .collect();
-    let total: i64 = discs.iter().sum();
-    let m = (n / 4) as u64;
-    let expect = discrepancy::gap(m).to_u64().expect("small n") as i64;
-    (discs, total == expect)
+    let sums = sums_to_gap(n, &discs);
+    (discs, sums)
 }
 
 /// The lower bound implied by the accounting: a disjoint cover needs at
@@ -242,9 +331,8 @@ pub fn overlap_histogram_threads(n: usize, rects: &[SetRectangle], threads: usiz
         return chunked::overlap_histogram_chunked_threads(n, rects, threads, &plan);
     }
     let ln = wordset::ln_bitmap(n);
-    let bitmaps: Vec<WordSet> = par::par_map_threads(rects, threads, |r| r.to_wordset(n));
     let mut counter = OverlapCounter::new(wordset::word_domain(n));
-    for bm in &bitmaps {
+    for bm in &cover_bitmaps_threads(n, rects, threads) {
         counter.add(bm);
     }
     // The counter's maximum ranges over all words; the histogram is

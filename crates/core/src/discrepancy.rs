@@ -207,10 +207,15 @@ pub fn discrepancy_threads(n: usize, r: &SetRectangle, threads: usize) -> i64 {
         return chunked::discrepancy_chunked_threads(n, r, threads, &plan);
     }
     let rect = crate::wordset::family_rectangle_bitmap_threads(n, r, threads);
-    let a = crate::wordset::family_a_bitmap(n);
-    // B = 𝓛 ∖ A on the family-rank domain, so |R ∩ B| is the fused
-    // `R ∖ A` popcount — one pass over `rect`/`A`, no `B` bitmap at all.
-    rect.and_count(&a) as i64 - rect.andnot_count(&a) as i64
+    signed_count(&rect, &crate::wordset::family_a_bitmap(n))
+}
+
+/// `|R ∩ A| − |R ∩ B|` for a family-rank bitmap `rect` and the `A`
+/// bitmap `a`. `B = 𝓛 ∖ A` on the family-rank domain, so `|R ∩ B|` is
+/// the fused `R ∖ A` popcount — one pass over `rect`/`A`, no `B` bitmap
+/// at all.
+pub(crate) fn signed_count(rect: &crate::wordset::WordSet, a: &crate::wordset::WordSet) -> i64 {
+    rect.and_count(a) as i64 - rect.andnot_count(a) as i64
 }
 
 /// The scalar reference for [`discrepancy`]: exhaustive `2^n` family scan

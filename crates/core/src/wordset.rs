@@ -391,17 +391,24 @@ impl OverlapCounter {
     /// is appended whenever a carry ripples off the top).
     pub fn add(&mut self, set: &WordSet) {
         assert_eq!(self.domain, set.domain, "counter/set domain mismatch");
+        self.add_words(&set.bits);
+    }
+
+    /// [`add`](Self::add) for a set given by its backing words over the
+    /// counter's first `words.len()` words; the rest count as empty.
+    fn add_words(&mut self, words: &[u64]) {
         self.scratch.clear();
-        self.scratch.extend_from_slice(&set.bits);
+        self.scratch.extend_from_slice(words);
         let carry = &mut self.scratch;
+        let len = carry.len();
         for layer in &mut self.layers {
-            if !simd::carry_save(&mut layer.bits, carry) {
+            if !simd::carry_save(&mut layer.bits[..len], carry) {
                 return;
             }
         }
         if carry.iter().any(|&c| c != 0) {
-            let mut bits = arena::take_zeroed(carry.len());
-            bits.copy_from_slice(carry);
+            let mut bits = arena::take_zeroed(blocks_for(self.domain));
+            bits[..len].copy_from_slice(carry);
             self.layers.push(WordSet {
                 domain: self.domain,
                 bits,
@@ -409,21 +416,39 @@ impl OverlapCounter {
         }
     }
 
-    /// The maximum per-element count.
+    /// Reset every count to zero, keeping the layers' buffers.
+    fn clear(&mut self) {
+        for layer in &mut self.layers {
+            layer.bits.fill(0);
+        }
+    }
+
+    /// The maximum per-element count, without allocating: each backing
+    /// word's lanes are walked top-down through the layers, keeping the
+    /// lanes that attain every high bit committed so far, and the
+    /// per-word maxima reduce to the overall one. Once the maximum has
+    /// the top layer's bit, words with no top-layer lane cannot beat it
+    /// and are skipped.
     pub fn max_count(&self) -> usize {
-        // Walk layers top-down, keeping the mask of elements that attain
-        // every high bit committed so far.
+        let Some(top) = self.layers.last() else {
+            return 0;
+        };
+        let top_count = 1usize << (self.layers.len() - 1);
         let mut max = 0usize;
-        let mut mask: Option<Vec<u64>> = None;
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let hit: Vec<u64> = match &mask {
-                None => layer.bits.clone(),
-                Some(m) => layer.bits.iter().zip(m).map(|(&l, &mm)| l & mm).collect(),
-            };
-            if hit.iter().any(|&b| b != 0) {
-                max |= 1 << i;
-                mask = Some(hit);
+        for (w, &top_word) in top.bits.iter().enumerate() {
+            if top_word == 0 && max >= top_count {
+                continue;
             }
+            let mut lanes = u64::MAX;
+            let mut word_max = 0usize;
+            for (i, layer) in self.layers.iter().enumerate().rev() {
+                let hit = layer.bits[w] & lanes;
+                if hit != 0 {
+                    word_max |= 1 << i;
+                    lanes = hit;
+                }
+            }
+            max = max.max(word_max);
         }
         max
     }
@@ -478,6 +503,17 @@ impl OverlapCounter {
         total
     }
 
+    /// Is the set of elements with count ≥ 1, over the counter's first
+    /// `target.len()` words, exactly the set with backing words `target`?
+    fn union_equals_words(&self, target: &[u64]) -> bool {
+        target.iter().enumerate().all(|(w, &tw)| {
+            self.layers
+                .iter()
+                .fold(0u64, |acc, layer| acc | layer.bits[w])
+                == tw
+        })
+    }
+
     /// The set of elements with count ≥ 1 (the union of everything added).
     pub fn any(&self) -> WordSet {
         let mut out = WordSet::empty(self.domain);
@@ -486,6 +522,40 @@ impl OverlapCounter {
         }
         out
     }
+}
+
+/// Backing words per tile of [`overlap_fold`]: the counter's layers for
+/// one tile (about four for ten sets) and the carry stay in the L1 cache.
+const FOLD_TILE_WORDS: usize = 512;
+
+/// The two facts a cover verification needs from `sets`, all over
+/// `target`'s domain: the maximum number of sets sharing an element, and
+/// whether their union is exactly `target`.
+///
+/// One serial pass that reads every set once: the domain is counted tile
+/// by tile in one reused [`OverlapCounter`], whose layers stay in the L1
+/// cache, so no domain-sized counter or union is ever written. Equal to
+/// accumulating the whole sets into one counter and asking
+/// [`OverlapCounter::max_count`] and `any() == target`.
+pub(crate) fn overlap_fold(sets: &[WordSet], target: &WordSet) -> (usize, bool) {
+    for set in sets {
+        target.check_domain(set);
+    }
+    let words = target.bits.len();
+    let tile = words.clamp(1, FOLD_TILE_WORDS);
+    let mut counter = OverlapCounter::new(tile as u64 * 64);
+    let mut max = 0usize;
+    let mut union_equals = true;
+    for lo in (0..words).step_by(tile) {
+        let hi = (lo + tile).min(words);
+        counter.clear();
+        for set in sets {
+            counter.add_words(&set.bits[lo..hi]);
+        }
+        union_equals &= counter.union_equals_words(&target.bits[lo..hi]);
+        max = max.max(counter.max_count());
+    }
+    (max, union_equals)
 }
 
 /// Which canonical bitmap a cache entry holds.
@@ -1049,6 +1119,33 @@ mod tests {
                 .filter(|&e| scalar_count(e) > 0)
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn overlap_fold_matches_a_whole_domain_counter() {
+        // Two and a half tiles, so the last tile is partial; the maximum
+        // is attained only in the last one.
+        let domain = (5 * FOLD_TILE_WORDS as u64 / 2) * 64 + 100;
+        let mut sets: Vec<WordSet> = (0..7u64)
+            .map(|s| WordSet::from_pred_threads(domain, 1, move |k| (k * 7 + s) % (s + 3) == 0))
+            .collect();
+        for set in &mut sets {
+            set.insert(domain - 1);
+        }
+        let mut counter = OverlapCounter::new(domain);
+        for s in &sets {
+            counter.add(s);
+        }
+        let union = counter.any();
+        assert_eq!(counter.max_count(), 7);
+        assert_eq!(overlap_fold(&sets, &union), (7, true));
+        let mut other = union.clone();
+        other.remove(domain - 1);
+        assert_eq!(overlap_fold(&sets, &other), (7, false));
+        assert!(!overlap_fold(&sets[..2], &union).1);
+        // No sets: nothing is covered.
+        assert_eq!(overlap_fold(&[], &WordSet::empty(domain)), (0, true));
+        assert_eq!(overlap_fold(&[], &union), (0, false));
     }
 
     #[test]

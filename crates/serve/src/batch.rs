@@ -13,8 +13,9 @@
 //! [`CykRuleIndex`](ucfg_grammar::cyk::CykRuleIndex), a long one by the
 //! Earley inside pass, whose O(n²) work on unambiguous grammars beats
 //! the chart's O(n³) cells once `n²` is large against the rule count.
-//! Rectangle jobs run one at a time; their kernels spread across the
-//! same pool internally.
+//! Rectangle jobs run one at a time as a serial fold over bitmaps the
+//! artifact built once, on the same pool, for the first job that needed
+//! them.
 //!
 //! Replies travel through a [`ReplySink`] — a one-shot callback — so
 //! the same scheduler serves both the blocking unit tests (sink backed
@@ -485,10 +486,10 @@ fn run_one(
     })
 }
 
-/// Run one rectangle-family job: resolve the artifact, run the kernel
-/// across the deterministic pool, reply with the rendered body. Pure
-/// in the request, so the body is byte-identical across thread and
-/// shard counts.
+/// Run one rectangle-family job: resolve the artifact, fold over its
+/// cached bitmaps (built on the deterministic pool by the first request
+/// that needs them), reply with the rendered body. Pure in the request,
+/// so the body is byte-identical across thread and shard counts.
 fn run_rect(cache: &Mutex<ArtifactCache>, job: RectJob) {
     let resolved = cache
         .lock()
@@ -515,11 +516,9 @@ fn run_rect(cache: &Mutex<ArtifactCache>, job: RectJob) {
         s
     };
     let cache_tag = ("cache", Json::str(if hit { "hit" } else { "miss" }));
-    let threads = par::thread_count();
     let body = if job.discrepancy {
         let _t = obs::span!("serve.discrepancy");
-        let (discs, sums) =
-            ucfg_core::cover::discrepancy_accounting_threads(job.req.n, &rects.rects, threads);
+        let (discs, sums) = rects.discrepancy_accounting();
         single_line(Json::obj(vec![
             ("n", Json::Int(job.req.n as i64)),
             ("family", Json::str(job.req.family.name())),
@@ -533,7 +532,7 @@ fn run_rect(cache: &Mutex<ArtifactCache>, job: RectJob) {
         ]))
     } else {
         let _t = obs::span!("serve.cover.verify");
-        let report = ucfg_core::cover::verify_cover_threads(job.req.n, &rects.rects, threads);
+        let report = rects.verify_cover();
         single_line(Json::obj(vec![
             ("n", Json::Int(job.req.n as i64)),
             ("family", Json::str(job.req.family.name())),

@@ -8,8 +8,9 @@
 //! - [`GrammarArtifact`] — the parsed [`Grammar`], its CNF conversion,
 //!   the flat-slab [`CykRuleIndex`], the Earley nullable table, and
 //!   (built on the first long word) the Earley inside pass over the CNF;
-//! - [`RectsArtifact`] — a materialised rectangle family for the
-//!   cover/discrepancy kernels.
+//! - [`RectsArtifact`] — a materialised rectangle family and (each
+//!   built on the first request that folds over it) its word-domain and
+//!   family-rank bitmaps.
 //!
 //! (The canonical `L_n` bitmaps have their own process-wide cache in
 //! `ucfg_core::wordset`; the kernels hit it automatically and its
@@ -26,15 +27,16 @@
 use crate::protocol::{ApiError, RectFamily, RectRequest};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use ucfg_core::cover::extraction_to_set_rectangles;
+use ucfg_core::cover::{self, extraction_to_set_rectangles, CoverReport};
 use ucfg_core::extract::extract_cover;
 use ucfg_core::ln_grammars::example4_ucfg;
+use ucfg_core::wordset::WordSet;
 use ucfg_core::SetRectangle;
 use ucfg_grammar::analysis::nullable;
 use ucfg_grammar::cyk::{CykChart, CykRuleIndex};
 use ucfg_grammar::earley::{Earley, InsideCounter};
 use ucfg_grammar::{BigUint, CnfGrammar, Grammar, Terminal};
-use ucfg_support::obs;
+use ucfg_support::{obs, par};
 
 /// The threshold between the two counting kernels: a word of `n`
 /// letters over a CNF with `|R|` rules is counted by the Earley inside
@@ -162,13 +164,26 @@ impl GrammarArtifact {
     }
 }
 
-/// A materialised rectangle family.
+/// A materialised rectangle family, with the bitmaps its two kernels
+/// fold over.
+///
+/// `/cover/verify` folds word-domain bitmaps and `/discrepancy` folds
+/// family-rank bitmaps. Both depend only on the family, so each form is
+/// built on the first request that needs it — on the deterministic
+/// parallel map, always in memory (`n ≤ MAX_COVER_N` keeps every domain
+/// within the `WordSet` cap) — and every later request runs only the
+/// serial fold. The bitmaps come from the `arena` pool and go back to it
+/// when the artifact is evicted.
 #[derive(Debug)]
 pub struct RectsArtifact {
     /// The half-length parameter.
     pub n: usize,
     /// The rectangles.
     pub rects: Vec<SetRectangle>,
+    /// Word-domain bitmaps, one per rectangle, built on first use.
+    words: OnceLock<Vec<WordSet>>,
+    /// Family-rank bitmaps, one per rectangle, built on first use.
+    ranks: OnceLock<Vec<WordSet>>,
 }
 
 impl RectsArtifact {
@@ -184,7 +199,33 @@ impl RectsArtifact {
                 extraction_to_set_rectangles(req.n, &res)
             }
         };
-        Ok(Arc::new(RectsArtifact { n: req.n, rects }))
+        Ok(Arc::new(RectsArtifact {
+            n: req.n,
+            rects,
+            words: OnceLock::new(),
+            ranks: OnceLock::new(),
+        }))
+    }
+
+    /// The `/cover/verify` report: the serial fold over the word-domain
+    /// bitmaps, built on the first call.
+    pub(crate) fn verify_cover(&self) -> CoverReport {
+        let words = self.words.get_or_init(|| {
+            let _t = obs::span!("serve.compile.rect_bitmaps");
+            cover::cover_bitmaps_threads(self.n, &self.rects, par::thread_count())
+        });
+        cover::verify_cover_fold(self.n, &self.rects, words)
+    }
+
+    /// The `/discrepancy` ledger: the serial fold over the family-rank
+    /// bitmaps, built on the first call. The family needs the block
+    /// structure (`n ≡ 0 mod 4`).
+    pub(crate) fn discrepancy_accounting(&self) -> (Vec<i64>, bool) {
+        let ranks = self.ranks.get_or_init(|| {
+            let _t = obs::span!("serve.compile.rect_bitmaps");
+            cover::discrepancy_bitmaps_threads(self.n, &self.rects, par::thread_count())
+        });
+        cover::discrepancy_accounting_fold(self.n, ranks)
     }
 }
 
