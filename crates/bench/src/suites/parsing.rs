@@ -162,6 +162,14 @@ fn sampled_words(cnf: &CnfGrammar, lens: &[usize], rng: &mut StdRng) -> Option<W
     Some(out)
 }
 
+/// The words of length `len`, if any.
+fn words_of(by_len: &WordsByLen, len: usize) -> &[Vec<Terminal>] {
+    by_len
+        .iter()
+        .find(|(l, _)| *l == len)
+        .map_or(&[], |(_, words)| words)
+}
+
 /// Four words of length `2n` for `appendix-a`: two members of `L_n`, and
 /// two words whose every pair at distance `n` avoids `(a, a)`.
 fn ln_words(cnf: &CnfGrammar, n: usize, rng: &mut StdRng) -> Vec<Vec<Terminal>> {
@@ -225,6 +233,69 @@ fn bench_parse_count(suite: &mut Suite) {
                     .map(|w| counter.count(black_box(w)))
                     .filter(|c| !c.is_zero())
                     .count()
+            });
+        }
+    }
+}
+
+/// The same two kernels on short words, where the CYK fill can win: a
+/// Dyck grammar at 4 and 8 letters, `appendix-a` at 8 and 12, and four
+/// `parse_cold`-shaped random grammars at the 8–16 letters that workload
+/// sends, so each `cold` iteration counts 16 words.
+/// The lower end of `INSIDE_PASS_RATIO` is read off these. They draw from
+/// their own seed, so the grammars and words behind the keys above stay
+/// as they were.
+fn bench_parse_count_short(suite: &mut Suite) {
+    let mut rng = StdRng::seed_from_u64(27);
+    let dyck = CnfGrammar::from_grammar(&parse_grammar("S -> a S b S | ()").unwrap());
+    let words = sampled_words(&dyck, &[4, 8], &mut rng).expect("Dyck words of even length");
+    let mut sets = vec![("dyck", vec![(dyck, words)])];
+    let appendix_a = [4, 6].map(|n| {
+        let cnf = CnfGrammar::from_grammar(&appendix_a_grammar(n));
+        let words = ln_words(&cnf, n, &mut rng);
+        (cnf, vec![(2 * n, words)])
+    });
+    sets.push(("appendix-a", appendix_a.into()));
+    let mut cold = Vec::new();
+    while cold.len() < 4 {
+        let cnf = random_cold_grammar(&mut rng);
+        if let Some(words) = sampled_words(&cnf, &[8, 12, 16], &mut rng) {
+            cold.push((cnf, words));
+        }
+    }
+    sets.push(("cold", cold));
+    let mut g = suite.group("parse_count");
+    for (name, grammars) in &sets {
+        let kernels: Vec<_> = grammars
+            .iter()
+            .map(|(cnf, _)| (CykRuleIndex::new(cnf), InsideCounter::new(cnf)))
+            .collect();
+        let mut lens: Vec<usize> = grammars
+            .iter()
+            .flat_map(|(_, by_len)| by_len.iter().map(|(len, _)| *len))
+            .collect();
+        lens.sort_unstable();
+        lens.dedup();
+        for len in lens {
+            g.bench(&format!("cyk/{name}/{len}"), || {
+                let mut members = 0;
+                for ((cnf, by_len), (index, _)) in grammars.iter().zip(&kernels) {
+                    for w in words_of(by_len, len) {
+                        let count =
+                            CykChart::build_with_index(cnf, index, black_box(w)).count_trees();
+                        members += usize::from(!count.is_zero());
+                    }
+                }
+                members
+            });
+            g.bench(&format!("inside/{name}/{len}"), || {
+                let mut members = 0;
+                for ((_, by_len), (_, counter)) in grammars.iter().zip(&kernels) {
+                    for w in words_of(by_len, len) {
+                        members += usize::from(!counter.count(black_box(w)).is_zero());
+                    }
+                }
+                members
             });
         }
     }
@@ -294,6 +365,7 @@ pub(super) fn build(opts: Options) -> Suite {
     bench_cyk_count(&mut suite);
     bench_count_catalan(&mut suite);
     bench_parse_count(&mut suite);
+    bench_parse_count_short(&mut suite);
     bench_compile(&mut suite);
     bench_fixed_len_parser(&mut suite);
     bench_earley(&mut suite);

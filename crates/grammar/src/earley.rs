@@ -24,14 +24,14 @@
 //! it cross-checks both the CNF conversion and the CYK chart;
 //! `tests/differential_props.rs` pins it to both CYK fills.
 //!
-//! A **counting** chart holds the same items, each with its inside
-//! count: the number of derivations of the tokens between its origin and
-//! its set by the symbols before its dot. [`count_trees`] and
-//! [`InsideCounter`] run it over a CNF grammar's view
-//! ([`CnfGrammar::to_grammar`]), so their counts equal
-//! [`CykChart::count_trees`](crate::cyk::CykChart::count_trees) by
-//! construction, at O(n²) on unambiguous grammars where the CYK chart
-//! costs O(n³), and stop at the first position where the prefix dies.
+//! Counting is a separate engine, not a mode of the chart.
+//! [`InsideCounter`] runs Earley's algorithm specialised to a
+//! [`CnfGrammar`]'s rule arrays: predictions are a bitset per position,
+//! dot-one items `A → B•C` are grouped by `C`, and complete items carry
+//! their inside count, summed in place. Its counts (and [`count_trees`]'s)
+//! equal [`CykChart::count_trees`](crate::cyk::CykChart::count_trees) at
+//! O(n²) on unambiguous grammars where the CYK chart costs O(n³), and the
+//! pass stops at the first position where the prefix dies.
 
 use crate::analysis::nullable;
 use crate::bignum::BigUint;
@@ -39,8 +39,7 @@ use crate::cfg::Grammar;
 use crate::normal_form::CnfGrammar;
 use crate::symbol::{NonTerminal, Symbol, Terminal};
 use std::borrow::{Borrow, Cow};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use ucfg_support::fnv::Fnv1a;
 use ucfg_support::obs;
 
@@ -79,64 +78,13 @@ impl Item {
             ..self
         }
     }
-
-    /// The rule's left-hand side.
-    fn lhs(self, g: &Grammar) -> NonTerminal {
-        g.rules()[self.rule as usize].lhs
-    }
-}
-
-/// An exact derivation count: a `u64` while it fits, promoted exactly
-/// to a [`BigUint`] when a sum or product overflows.
-#[derive(Debug, Clone)]
-enum Count {
-    Small(u64),
-    Big(BigUint),
-}
-
-impl Count {
-    fn from_u128(v: u128) -> Count {
-        u64::try_from(v).map_or_else(|_| Count::Big(BigUint::from_u128(v)), Count::Small)
-    }
-
-    fn big(&self) -> Cow<'_, BigUint> {
-        match self {
-            Count::Small(v) => Cow::Owned(BigUint::from_u64(*v)),
-            Count::Big(b) => Cow::Borrowed(b),
-        }
-    }
-
-    fn product(a: &Count, b: &Count) -> Count {
-        match (a, b) {
-            (Count::Small(x), Count::Small(y)) => Count::from_u128(u128::from(*x) * u128::from(*y)),
-            _ => Count::Big(&*a.big() * &*b.big()),
-        }
-    }
-
-    fn add(&mut self, other: &Count) {
-        *self = match (&*self, other) {
-            (Count::Small(x), Count::Small(y)) => Count::from_u128(u128::from(*x) + u128::from(*y)),
-            _ => Count::Big(&*self.big() + &*other.big()),
-        };
-    }
 }
 
 /// One Earley set: items in insertion order plus a dedup index.
-///
-/// A counting chart's sets leave `seen` empty (their closure needs no
-/// general dedup, see [`Chart::close_counted`]) and fill the counting
-/// fields instead.
 #[derive(Default)]
 struct Set {
     items: Vec<Item>,
     seen: HashSet<Item>,
-    /// The inside count of each item, parallel to `items`.
-    counts: Vec<Count>,
-    /// Indices of the items whose next symbol is a non-terminal, grouped
-    /// by that non-terminal: `B`'s waiters are
-    /// `waiting[waiting_at[B]..waiting_at[B + 1]]`.
-    waiting: Vec<u32>,
-    waiting_at: Vec<u32>,
 }
 
 impl Set {
@@ -156,48 +104,6 @@ impl Set {
             });
         }
     }
-
-    /// Index the waiters: `waits` holds `(B, i)` for every item `i`
-    /// whose next symbol is the non-terminal `B`, in item order; a
-    /// counting sort groups them by `B` into `waiting`.
-    fn index_waiting(&mut self, nonterminals: usize, waits: &[(NonTerminal, u32)]) {
-        let mut at = vec![0u32; nonterminals + 1];
-        for &(b, _) in waits {
-            at[b.index() + 1] += 1;
-        }
-        for b in 0..nonterminals {
-            at[b + 1] += at[b];
-        }
-        let mut fill = at.clone();
-        self.waiting = vec![0; waits.len()];
-        for &(b, i) in waits {
-            self.waiting[fill[b.index()] as usize] = i;
-            fill[b.index()] += 1;
-        }
-        self.waiting_at = at;
-    }
-
-    /// The indices of the items whose next symbol is `b`.
-    fn waiting_on(&self, b: NonTerminal) -> &[u32] {
-        &self.waiting[self.waiting_at[b.index()] as usize..self.waiting_at[b.index() + 1] as usize]
-    }
-}
-
-/// Counting mode's working buffers, reused from set to set.
-#[derive(Default)]
-struct Scratch {
-    /// Complete items of the set being closed, as `(lhs, index)`, by
-    /// origin (offset from the base).
-    by_origin: Vec<Vec<(NonTerminal, u32)>>,
-    /// Bit `o` is set while `by_origin[o]` is not empty.
-    pending: Vec<u64>,
-    /// Items with two or more symbols before the dot, to their index.
-    split_items: HashMap<Item, u32>,
-    /// Non-terminals already predicted in the set being closed.
-    predicted: Vec<bool>,
-    /// `(B, i)` for every item `i` of the set being closed whose next
-    /// symbol is the non-terminal `B`.
-    waits: Vec<(NonTerminal, u32)>,
 }
 
 /// An incremental Earley chart. `G` is `&Grammar` for batch recognition
@@ -229,9 +135,6 @@ pub struct Chart<G: Borrow<Grammar>> {
     /// so "does the suffix starting at `j` parse?" can be read off the
     /// newest set for every `j` at once.
     all_starts: bool,
-    /// Counting mode ([`Chart::counting`]): every item carries its
-    /// inside count, and the closure works in these buffers.
-    counting: Option<Scratch>,
     /// Absolute position of `sets[0]`.
     base: u64,
     tokens: VecDeque<Terminal>,
@@ -252,43 +155,11 @@ impl<G: Borrow<Grammar>> Chart<G> {
             g,
             nullable,
             all_starts,
-            counting: None,
             base: 0,
             tokens: VecDeque::new(),
             sets: VecDeque::new(),
         };
         chart.push_set(Set::default());
-        chart
-    }
-
-    /// An empty counting chart at position 0: it holds the items a
-    /// [`Chart::new`]`(g, false)` chart holds, each with its inside
-    /// count, so [`Chart::count`] reads the number of parse trees of the
-    /// appended word. A counting chart grows and truncates but does not
-    /// slide. `g` must have no ε-rules and no unit rules `A → B`: the
-    /// counting closure relies on every symbol spanning at least one
-    /// token.
-    fn counting(g: G) -> Self {
-        let grammar = g.borrow();
-        debug_assert!(
-            grammar
-                .rules()
-                .iter()
-                .all(|r| !matches!(r.rhs[..], [] | [Symbol::N(_)])),
-            "a counting chart needs a grammar without ε-rules and unit rules"
-        );
-        // Without ε-rules nothing is nullable.
-        let nullable = vec![false; grammar.nonterminal_count()];
-        let mut chart = Chart {
-            g,
-            nullable,
-            all_starts: false,
-            counting: Some(Scratch::default()),
-            base: 0,
-            tokens: VecDeque::new(),
-            sets: VecDeque::new(),
-        };
-        chart.close_counted(Set::default());
         chart
     }
 
@@ -376,122 +247,9 @@ impl<G: Borrow<Grammar>> Chart<G> {
         self.sets.push_back(set);
     }
 
-    /// Close `set`, the set at position `total()`, in counting mode,
-    /// then retain it. `set` holds the scanned items and their counts.
-    ///
-    /// Without ε-rules no item completes in the set that predicted it,
-    /// and without unit rules a complete item's last symbol starts
-    /// strictly after its origin. So an item complete here with origin
-    /// `i` draws all its derivations from complete items with origins
-    /// above `i`: completing in decreasing origin order makes each count
-    /// final before it propagates. Complete items sharing an origin and a
-    /// left-hand side advance their waiters once, with summed counts.
-    /// Predictions come last: they never complete in their own set.
-    fn close_counted(&mut self, mut set: Set) {
-        let here = self.total();
-        let (g, base, sets) = (self.g.borrow(), self.base, &self.sets);
-        let scratch = self.counting.as_mut().expect("a counting chart");
-        let span = (here - base) as usize;
-        if scratch.by_origin.len() < span {
-            scratch.by_origin.resize_with(span, Vec::new);
-            scratch.pending.resize(span.div_ceil(64), 0);
-        }
-        let pend = |scratch: &mut Scratch, it: Item, i: usize| {
-            let origin = (it.origin - base) as usize;
-            scratch.by_origin[origin].push((it.lhs(g), i as u32));
-            scratch.pending[origin / 64] |= 1 << (origin % 64);
-        };
-        for (i, &it) in set.items.iter().enumerate() {
-            if it.next(g).is_none() {
-                pend(scratch, it, i);
-            }
-        }
-        // Only an item with two or more symbols before its dot can be
-        // reached from more than one split point, so only such items are
-        // looked up; every other advance creates a new item.
-        scratch.split_items.clear();
-        // Completing only adds items of smaller origin, so the highest
-        // pending origin never rises and its bitmap word only moves down.
-        let mut word = span.div_ceil(64);
-        while word > 0 {
-            if scratch.pending[word - 1] == 0 {
-                word -= 1;
-                continue;
-            }
-            let bit = 63 - scratch.pending[word - 1].leading_zeros() as usize;
-            scratch.pending[word - 1] &= !(1 << bit);
-            let origin = (word - 1) * 64 + bit;
-            let mut complete = std::mem::take(&mut scratch.by_origin[origin]);
-            complete.sort_unstable();
-            for group in complete.chunk_by(|x, y| x.0 == y.0) {
-                let mut inside = set.counts[group[0].1 as usize].clone();
-                for &(_, j) in &group[1..] {
-                    inside.add(&set.counts[j as usize]);
-                }
-                let from = &sets[origin];
-                for &w in from.waiting_on(group[0].0) {
-                    let target = from.items[w as usize].advanced();
-                    let count = Count::product(&from.counts[w as usize], &inside);
-                    if target.dot >= 2 {
-                        match scratch.split_items.entry(target) {
-                            Entry::Occupied(e) => {
-                                set.counts[*e.get() as usize].add(&count);
-                                continue;
-                            }
-                            Entry::Vacant(e) => {
-                                e.insert(set.items.len() as u32);
-                            }
-                        }
-                    }
-                    if target.next(g).is_none() {
-                        pend(scratch, target, set.items.len());
-                    }
-                    set.items.push(target);
-                    set.counts.push(count);
-                }
-            }
-            complete.clear();
-            scratch.by_origin[origin] = complete;
-        }
-        // Predict each non-terminal once; a predicted item's count is 1.
-        let predicted = &mut scratch.predicted;
-        predicted.clear();
-        predicted.resize(g.nonterminal_count(), false);
-        let mut predict = |set: &mut Set, a: NonTerminal| {
-            if !std::mem::replace(&mut predicted[a.index()], true) {
-                for &ri in &g.rules_by_lhs[a.index()] {
-                    set.items.push(Item {
-                        rule: ri as u32,
-                        dot: 0,
-                        origin: here,
-                    });
-                    set.counts.push(Count::Small(1));
-                }
-            }
-        };
-        if here == 0 {
-            predict(&mut set, g.start());
-        }
-        let waits = &mut scratch.waits;
-        waits.clear();
-        let mut i = 0;
-        while i < set.items.len() {
-            if let Some(Symbol::N(b)) = set.items[i].next(g) {
-                predict(&mut set, b);
-                waits.push((b, i as u32));
-            }
-            i += 1;
-        }
-        set.index_waiting(g.nonterminal_count(), waits);
-        self.sets.push_back(set);
-    }
-
     /// Append one token: scan the newest set into a fresh set, then seed
     /// and close that. Every earlier set is reused untouched.
     pub fn append(&mut self, t: Terminal) {
-        if self.counting.is_some() {
-            return self.append_counted(t);
-        }
         let g = self.g.borrow();
         let mut next = Set::default();
         for &it in &self.newest().items {
@@ -502,21 +260,6 @@ impl<G: Borrow<Grammar>> Chart<G> {
         }
         self.tokens.push_back(t);
         self.push_set(next);
-    }
-
-    /// [`Chart::append`] in counting mode: a scanned item keeps its count.
-    fn append_counted(&mut self, t: Terminal) {
-        let g = self.g.borrow();
-        let newest = self.newest();
-        let mut next = Set::default();
-        for (it, count) in newest.items.iter().zip(&newest.counts) {
-            if it.next(g) == Some(Symbol::T(t)) {
-                next.items.push(it.advanced());
-                next.counts.push(count.clone());
-            }
-        }
-        self.tokens.push_back(t);
-        self.close_counted(next);
     }
 
     /// Rewind to absolute position `to`, keeping the first `to - base`
@@ -561,26 +304,6 @@ impl<G: Borrow<Grammar>> Chart<G> {
         }
     }
 
-    /// Does the newest set hold no items? A chart seeded at position 0
-    /// only then has a dead prefix: no extension of its tokens parses.
-    fn is_dead(&self) -> bool {
-        self.newest().items.is_empty()
-    }
-
-    /// The number of parse trees of the appended word, on a counting
-    /// chart: the summed counts of the complete start-rule items with
-    /// origin 0 in the newest set.
-    fn count(&self) -> BigUint {
-        let g = self.g.borrow();
-        let mut total = Count::Small(0);
-        for (it, count) in self.newest().items.iter().zip(&self.newest().counts) {
-            if it.origin == 0 && it.next(g).is_none() && it.lhs(g) == g.start() {
-                total.add(count);
-            }
-        }
-        total.big().into_owned()
-    }
-
     /// Is there a complete start-rule item with origin `j` in the newest
     /// set? For `j = 0` on a fresh chart, and for every retained `j` in
     /// all-starts mode, this says `tokens[j..total] ∈ L(G)`.
@@ -616,11 +339,28 @@ impl<G: Borrow<Grammar>> Chart<G> {
     }
 }
 
-/// Exact parse-tree counts over a CNF grammar by an Earley inside pass:
-/// the grammar's view ([`CnfGrammar::to_grammar`], free of ε-rules and
-/// unit rules) is built once, and each word runs through a fresh
-/// counting [`Chart`]. Counts equal
+/// Exact parse-tree counts over a CNF grammar by an Earley inside pass
+/// that reads the grammar's rule arrays directly. Counts equal
 /// [`CykChart::count_trees`](crate::cyk::CykChart::count_trees).
+///
+/// A CNF grammar has no ε-rules and no unit rules, so Earley's items
+/// reduce to three kinds, each kept in its own table:
+///
+/// * **predicted** items `A → •α` are implied by a bitset per position:
+///   the union of the left-corner closures of the non-terminals awaited
+///   there;
+/// * **dot-one** items `A → B•C` with their origin and the inside count
+///   of `B`, stored per position and grouped by `C`;
+/// * **complete** items: at each position, the inside count of every
+///   `(A, origin)` that derives the span, summed in place.
+///
+/// A complete `A` with origin `i` draws all its derivations from complete
+/// items with origins above `i` (`C` in `A → B C` starts strictly after
+/// `i`), so each position processes its origins in decreasing order and
+/// every count is final before it propagates. Counts are `u64` until a
+/// sum or product overflows, then exact [`BigUint`]s. A position where
+/// no dot-one item awaits anything ends the pass: no extension of the
+/// prefix parses.
 ///
 /// ```
 /// use ucfg_grammar::earley::InsideCounter;
@@ -635,39 +375,367 @@ impl<G: Borrow<Grammar>> Chart<G> {
 /// ```
 #[derive(Debug)]
 pub struct InsideCounter {
-    view: Grammar,
+    start: usize,
     accepts_epsilon: bool,
+    nonterminals: usize,
+    /// `u64` words per set of non-terminals.
+    words: usize,
+    /// The left-hand sides of letter `t`'s terminal rules, one entry per
+    /// rule: `term_lhs[term_at[t]..term_at[t + 1]]`.
+    term_at: Vec<u32>,
+    term_lhs: Vec<u32>,
+    /// `(A, C)` for each binary rule `A → B C`, grouped by `B`:
+    /// `by_first[first_at[B]..first_at[B + 1]]`.
+    first_at: Vec<u32>,
+    by_first: Vec<(u32, u32)>,
+    /// Each non-terminal's reflexive left-corner closure, `words` words
+    /// each: `A` and the first child of every binary rule of a member.
+    closure: Vec<u64>,
 }
 
 impl InsideCounter {
-    /// Build the CNF view of `g`.
+    /// Build the rule tables of `g`.
     pub fn new(g: &CnfGrammar) -> Self {
-        InsideCounter {
-            view: g.to_grammar(),
-            accepts_epsilon: g.accepts_epsilon(),
+        let nonterminals = g.nonterminal_count();
+        let words = nonterminals.div_ceil(64);
+        let letters = g.term_rules().iter().map(|&(_, t)| t.index() + 1).max();
+        let (term_at, term_lhs) = grouped(
+            letters.unwrap_or(0),
+            g.term_rules().iter().map(|&(a, t)| (t.index(), a.0)),
+        );
+        let (first_at, by_first) = grouped(
+            nonterminals,
+            g.bin_rules()
+                .iter()
+                .map(|&(a, b, c)| (b.index(), (a.0, c.0))),
+        );
+        let mut closure = vec![0u64; nonterminals * words];
+        let mut stack = Vec::new();
+        for (a, row) in closure.chunks_exact_mut(words.max(1)).enumerate() {
+            row[a / 64] |= 1 << (a % 64);
+            stack.push(a);
+            while let Some(x) = stack.pop() {
+                for &(b, _) in g.bins_of(NonTerminal(x as u32)) {
+                    let b = b.index();
+                    if row[b / 64] >> (b % 64) & 1 == 0 {
+                        row[b / 64] |= 1 << (b % 64);
+                        stack.push(b);
+                    }
+                }
+            }
         }
+        InsideCounter {
+            start: g.start().index(),
+            accepts_epsilon: g.accepts_epsilon(),
+            nonterminals,
+            words,
+            term_at,
+            term_lhs,
+            first_at,
+            by_first,
+            closure,
+        }
+    }
+
+    /// The left-hand sides of `t`'s terminal rules.
+    fn terminal_lhs(&self, t: Terminal) -> &[u32] {
+        match self.term_at.get(t.index() + 1) {
+            Some(&end) => &self.term_lhs[self.term_at[t.index()] as usize..end as usize],
+            None => &[],
+        }
+    }
+
+    /// `(A, C)` for each binary rule `A → b C`.
+    fn with_first(&self, b: u32) -> &[(u32, u32)] {
+        let b = b as usize;
+        &self.by_first[self.first_at[b] as usize..self.first_at[b + 1] as usize]
+    }
+
+    /// The non-terminals `a` predicts, `a` included.
+    fn closure_of(&self, a: usize) -> &[u64] {
+        &self.closure[a * self.words..(a + 1) * self.words]
     }
 
     /// The number of parse trees of `word`. The pass stops at the first
     /// position where the prefix dies.
     pub fn count(&self, word: &[Terminal]) -> BigUint {
-        if word.is_empty() {
+        let n = word.len();
+        if n == 0 {
             return BigUint::from_u64(u64::from(self.accepts_epsilon));
         }
         obs::count!("earley.count.passes");
-        let mut chart = Chart::counting(&self.view);
-        for &t in word {
-            chart.append(t);
-            if chart.is_dead() {
-                break;
+        let words = self.words;
+        // `predicted[j * words..][..words]`: the non-terminals predicted at
+        // position `j`. Position 0 awaits the start symbol.
+        let mut predicted = vec![0u64; n * words];
+        predicted[..words].copy_from_slice(self.closure_of(self.start));
+        let is_predicted =
+            |p: &[u64], j: usize, a: u32| p[j * words + a as usize / 64] >> (a % 64) & 1 == 1;
+        let mut waiting = Waiting::new(self.nonterminals);
+        let mut done = Completions::new(n, self.nonterminals);
+        let mut fresh = Vec::new();
+        let mut completed = 0;
+        let total = 'pass: {
+            for k in 1..=n {
+                // Scan: a terminal rule of a non-terminal predicted before
+                // the letter completes over it.
+                for &a in self.terminal_lhs(word[k - 1]) {
+                    if is_predicted(&predicted, k - 1, a) {
+                        done.entry(a, k - 1).add(&Count::Small(1));
+                    }
+                }
+                // Complete, highest origin first: `(x, o)` advances the
+                // dot-one items at `o` awaiting `x`, whose origins lie
+                // below `o`, and starts a dot-one item `A → x•C` here for
+                // every rule of a non-terminal `A` predicted at `o`.
+                let mut o = k;
+                while o > done.lowest {
+                    o -= 1;
+                    let mut d = done.head[o];
+                    while d != 0 {
+                        let i = d as usize - 1;
+                        d = done.next[i];
+                        let x = done.items[i].0;
+                        let inside = std::mem::replace(&mut done.items[i].2, Count::Small(0));
+                        for w in waiting.awaiting(o, x) {
+                            let (a, origin) = waiting.items[w];
+                            done.entry(a, origin as usize)
+                                .add_product(&waiting.counts[w], &inside);
+                        }
+                        if k < n {
+                            for &(a, c) in self.with_first(x) {
+                                if is_predicted(&predicted, o, a) {
+                                    fresh.push((c, a, o as u32, inside.clone()));
+                                }
+                            }
+                        }
+                        done.items[i].2 = inside;
+                    }
+                }
+                completed += done.items.len() as u64;
+                if k == n {
+                    break;
+                }
+                done.clear();
+                waiting.push_position(&mut fresh);
+                let awaited = waiting.groups_at(k);
+                if awaited.is_empty() {
+                    break 'pass Count::Small(0);
+                }
+                let here = &mut predicted[k * words..(k + 1) * words];
+                for &(c, _) in awaited {
+                    for (p, &q) in here.iter_mut().zip(self.closure_of(c as usize)) {
+                        *p |= q;
+                    }
+                }
+            }
+            done.get(self.start as u32, 0)
+        };
+        obs::count!("earley.count.items", completed + waiting.items.len() as u64);
+        total.big().into_owned()
+    }
+}
+
+/// Group `(key, value)` pairs by key, keeping their order within a key:
+/// the values, and `keys + 1` offsets into them.
+fn grouped<V: Copy>(keys: usize, pairs: impl Iterator<Item = (usize, V)>) -> (Vec<u32>, Vec<V>) {
+    let mut pairs: Vec<(usize, V)> = pairs.collect();
+    pairs.sort_by_key(|&(k, _)| k);
+    let mut at = vec![0u32; keys + 1];
+    for &(k, _) in &pairs {
+        at[k + 1] += 1;
+    }
+    for k in 0..keys {
+        at[k + 1] += at[k];
+    }
+    (at, pairs.into_iter().map(|(_, v)| v).collect())
+}
+
+/// An exact derivation count: a `u64` while it fits, promoted exactly
+/// to a [`BigUint`] when a sum or product overflows.
+#[derive(Debug, Clone)]
+enum Count {
+    Small(u64),
+    Big(BigUint),
+}
+
+impl Count {
+    fn big(&self) -> Cow<'_, BigUint> {
+        match self {
+            Count::Small(v) => Cow::Owned(BigUint::from_u64(*v)),
+            Count::Big(b) => Cow::Borrowed(b),
+        }
+    }
+
+    /// `self += other`.
+    fn add(&mut self, other: &Count) {
+        match (&mut *self, other) {
+            (Count::Small(x), Count::Small(y)) => match x.checked_add(*y) {
+                Some(sum) => *x = sum,
+                None => *self = Count::Big(BigUint::from_u128(u128::from(*x) + u128::from(*y))),
+            },
+            (Count::Big(x), y) => *x += &*y.big(),
+            (Count::Small(x), Count::Big(y)) => *self = Count::Big(y + &BigUint::from_u64(*x)),
+        }
+    }
+
+    /// `self += a · b`.
+    fn add_product(&mut self, a: &Count, b: &Count) {
+        match (&mut *self, a, b) {
+            (Count::Small(s), Count::Small(x), Count::Small(y)) => {
+                // (2⁶⁴ − 1)² + 2⁶⁴ − 1 < 2¹²⁸, so the sum cannot overflow.
+                let sum = u128::from(*x) * u128::from(*y) + u128::from(*s);
+                match u64::try_from(sum) {
+                    Ok(v) => *s = v,
+                    Err(_) => *self = Count::Big(BigUint::from_u128(sum)),
+                }
+            }
+            _ => self.add(&Count::Big(&*a.big() * &*b.big())),
+        }
+    }
+}
+
+/// The dot-one items `A → B•C` of a pass, as `(A, origin)` with the inside
+/// count of `B`, position by position and grouped by `C` within a
+/// position.
+struct Waiting {
+    items: Vec<(u32, u32)>,
+    counts: Vec<Count>,
+    /// `(C, end)`: a group's items run from the previous group's end to
+    /// `end`.
+    groups: Vec<(u32, u32)>,
+    /// Position `j`'s groups are `groups[group_at[j]..group_at[j + 1]]`;
+    /// position 0 has none.
+    group_at: Vec<u32>,
+    /// Group offsets by `C` while a position is placed, reused.
+    at: Vec<u32>,
+}
+
+impl Waiting {
+    fn new(nonterminals: usize) -> Self {
+        Waiting {
+            items: Vec::new(),
+            counts: Vec::new(),
+            groups: Vec::new(),
+            group_at: vec![0, 0],
+            at: vec![0; nonterminals + 1],
+        }
+    }
+
+    /// The index of group `g`'s first item.
+    fn first_item(&self, g: usize) -> usize {
+        match g {
+            0 => 0,
+            _ => self.groups[g - 1].1 as usize,
+        }
+    }
+
+    /// The groups of position `j`.
+    fn groups_at(&self, j: usize) -> &[(u32, u32)] {
+        &self.groups[self.group_at[j] as usize..self.group_at[j + 1] as usize]
+    }
+
+    /// The indices of the items at position `j` awaiting `c`.
+    fn awaiting(&self, j: usize, c: u32) -> std::ops::Range<usize> {
+        match self.groups_at(j).binary_search_by_key(&c, |&(c, _)| c) {
+            Ok(g) => {
+                let g = self.group_at[j] as usize + g;
+                self.first_item(g)..self.groups[g].1 as usize
+            }
+            Err(_) => 0..0,
+        }
+    }
+
+    /// Append the next position's items, `(C, A, origin, count)` in any
+    /// order, draining `fresh`: a counting sort by `C`.
+    fn push_position(&mut self, fresh: &mut Vec<(u32, u32, u32, Count)>) {
+        let at = &mut self.at;
+        at.fill(0);
+        for &(c, ..) in fresh.iter() {
+            at[c as usize + 1] += 1;
+        }
+        for c in 1..at.len() {
+            at[c] += at[c - 1];
+        }
+        // `C`'s items go to `base + at[C]..base + at[C + 1]`.
+        let base = self.items.len();
+        for (c, ends) in at.windows(2).enumerate() {
+            if ends[0] < ends[1] {
+                self.groups.push((c as u32, base as u32 + ends[1]));
             }
         }
-        obs::count!("earley.count.items", chart.cells());
-        if chart.is_dead() {
-            BigUint::zero()
-        } else {
-            chart.count()
+        self.items.resize(base + fresh.len(), (0, 0));
+        self.counts.resize(base + fresh.len(), Count::Small(0));
+        for (c, a, o, count) in fresh.drain(..) {
+            let i = base + at[c as usize] as usize;
+            at[c as usize] += 1;
+            self.items[i] = (a, o);
+            self.counts[i] = count;
         }
+        self.group_at.push(self.groups.len() as u32);
+    }
+}
+
+/// The complete items of one position: `(A, origin, count)`, each
+/// `(A, origin)` once with its count summed in place.
+struct Completions {
+    nonterminals: usize,
+    items: Vec<(u32, u32, Count)>,
+    /// One plus the index in `items` of `(A, origin)`, at
+    /// `slot[origin * nonterminals + A]`; 0 if absent.
+    slot: Vec<u32>,
+    /// Each origin's items as a list through `next`: `head[origin]` is
+    /// one plus the index of the newest, `next[i]` one plus the index of
+    /// the item before `i`; 0 ends a list.
+    head: Vec<u32>,
+    next: Vec<u32>,
+    /// No origin below this one holds an item.
+    lowest: usize,
+}
+
+impl Completions {
+    /// Room for the completions of a word of `n` letters.
+    fn new(n: usize, nonterminals: usize) -> Self {
+        Completions {
+            nonterminals,
+            items: Vec::new(),
+            slot: vec![0; n * nonterminals],
+            head: vec![0; n],
+            next: Vec::new(),
+            lowest: n,
+        }
+    }
+
+    /// The count of `(a, origin)`, created at zero on first use.
+    fn entry(&mut self, a: u32, origin: usize) -> &mut Count {
+        let slot = &mut self.slot[origin * self.nonterminals + a as usize];
+        if *slot == 0 {
+            self.items.push((a, origin as u32, Count::Small(0)));
+            self.next.push(self.head[origin]);
+            *slot = self.items.len() as u32;
+            self.head[origin] = *slot;
+            self.lowest = self.lowest.min(origin);
+        }
+        &mut self.items[*slot as usize - 1].2
+    }
+
+    /// The count of `(a, origin)`.
+    fn get(&self, a: u32, origin: usize) -> Count {
+        match self.slot[origin * self.nonterminals + a as usize] {
+            0 => Count::Small(0),
+            i => self.items[i as usize - 1].2.clone(),
+        }
+    }
+
+    /// Forget every completion, ready for the next position.
+    fn clear(&mut self) {
+        for &(a, origin, _) in &self.items {
+            self.slot[origin as usize * self.nonterminals + a as usize] = 0;
+            self.head[origin as usize] = 0;
+        }
+        self.items.clear();
+        self.next.clear();
+        self.lowest = self.head.len();
     }
 }
 
@@ -876,25 +944,6 @@ mod tests {
         append_str(&mut chart, "aabbab");
         chart.truncate(4);
         chart.truncate(10);
-    }
-
-    #[test]
-    fn counting_chart_holds_the_recognizers_items() {
-        for (src, text) in [
-            ("S -> a S b S | ()", "aabbabaabb"),
-            ("S -> S S | a", "aaaaaaa"),
-            ("S -> a S b | S S | a b", "aabbab"),
-        ] {
-            let view = CnfGrammar::from_grammar(&parse_grammar(src).unwrap()).to_grammar();
-            let mut plain = Chart::new(&view, false);
-            let mut counting = Chart::counting(&view);
-            assert_eq!(plain.fingerprint(), counting.fingerprint(), "{src}");
-            for t in view.encode(text).unwrap() {
-                plain.append(t);
-                counting.append(t);
-                assert_eq!(plain.fingerprint(), counting.fingerprint(), "{src}");
-            }
-        }
     }
 
     #[test]

@@ -14,17 +14,25 @@
 //! recognition and the stream crate's windows) is pinned the same way:
 //! a chart grown by appends agrees with CYK at every prefix and equals
 //! a fresh chart of the same tokens, and any append/truncate script
-//! lands on the chart a replay of the surviving tokens builds. Its
-//! counting mode's exact tree counts equal both CYK fills' counts on
-//! every short word.
+//! lands on the chart a replay of the surviving tokens builds.
+//!
+//! The Earley inside pass (`earley::count_trees`, the counting engine
+//! `/parse` and the stream windows use) is pinned to the scalar CYK
+//! count: on every short word, on sampled members of up to 40 letters
+//! and their one-letter mutants, on raw `CnfGrammar::from_rules` input
+//! (duplicate rules, useless non-terminals, a start without rules), on
+//! `aᵏ` under two Catalan-type grammars far past `u64`, and on ε and
+//! words whose prefix dies.
 
 use ucfg_grammar::count::TreeCounter;
 use ucfg_grammar::cyk::CykChart;
 use ucfg_grammar::earley::{count_trees, Chart, Earley};
 use ucfg_grammar::language::language_up_to;
+use ucfg_grammar::sample::TreeSampler;
+use ucfg_grammar::text::parse_grammar;
 use ucfg_grammar::{BigUint, CnfGrammar, Grammar, GrammarBuilder, NonTerminal, Symbol, Terminal};
 use ucfg_support::prop::Gen;
-use ucfg_support::rng::Rng;
+use ucfg_support::rng::{Rng, SeedableRng};
 use ucfg_support::{prop_assert, prop_assert_eq, property};
 
 const ALPHABET: [char; 2] = ['a', 'b'];
@@ -265,6 +273,163 @@ property! {
             }
         }
     }
+}
+
+/// The scalar CYK count of `word`: the reference the inside pass is
+/// checked against.
+fn cyk_count(cnf: &CnfGrammar, word: &[Terminal]) -> BigUint {
+    CykChart::build_scalar(cnf, word).count_trees()
+}
+
+/// Raw `CnfGrammar::from_rules` input: up to 6 non-terminals over
+/// {a, b}, rules drawn with repeats and kept as drawn (a repeated rule
+/// is a second derivation), non-terminals left useless by the draw, and
+/// in a quarter of the cases a start symbol with no rules at all.
+fn rand_raw_cnf(g: &mut Gen) -> CnfGrammar {
+    let nts = g.int_in(1usize..=6);
+    let names = (0..nts).map(|i| format!("N{i}")).collect();
+    let nt = |g: &mut Gen| NonTerminal(g.rng().random_range(0..nts as u32));
+    let mut term_rules: Vec<(NonTerminal, Terminal)> = g.vec_of(1..(2 * nts + 3), |g| {
+        (nt(g), Terminal(g.rng().random_range(0..2u16)))
+    });
+    let mut bin_rules: Vec<(NonTerminal, NonTerminal, NonTerminal)> =
+        g.vec_of(1..(3 * nts + 3), |g| (nt(g), nt(g), nt(g)));
+    let repeats = g.int_in(0usize..=3);
+    for _ in 0..repeats {
+        if g.bool() {
+            let r = *g.choice(&term_rules);
+            term_rules.push(r);
+        } else {
+            let r = *g.choice(&bin_rules);
+            bin_rules.push(r);
+        }
+    }
+    if g.int_in(0u32..=3) == 0 {
+        term_rules.retain(|&(a, _)| a != NonTerminal(0));
+        bin_rules.retain(|&(a, _, _)| a != NonTerminal(0));
+    }
+    CnfGrammar::from_rules(
+        ALPHABET.to_vec(),
+        names,
+        NonTerminal(0),
+        g.bool(),
+        term_rules,
+        bin_rules,
+    )
+}
+
+property! {
+    cases = 64;
+    /// Sampled members of 9–40 letters, and each with one letter
+    /// changed: the inside count equals the scalar CYK count. Long
+    /// members of ambiguous grammars push counts past `u64`.
+    fn inside_counts_equal_cyk_on_long_members(
+        cnf in rand_cnf,
+        g in rand_general,
+        seed in |g: &mut Gen| g.any_u64(),
+    ) {
+        let mut rng = ucfg_support::rng::StdRng::seed_from_u64(seed);
+        for cnf in [cnf, CnfGrammar::from_grammar(&g)] {
+            let sampler = TreeSampler::new(&cnf, 40);
+            for _ in 0..6 {
+                let len = rng.random_range(9..=40usize);
+                let Some(member) = sampler.sample_word(len, &mut rng) else {
+                    continue;
+                };
+                let mut word = cnf.encode(&member).expect("a sampled word is over the alphabet");
+                let n = count_trees(&cnf, &word);
+                prop_assert!(!n.is_zero(), "sampled member {member:?} counted 0");
+                prop_assert_eq!(&n, &cyk_count(&cnf, &word), "member {:?}", member);
+                let at = rng.random_range(0..len);
+                word[at] = Terminal(1 - word[at].0);
+                prop_assert_eq!(
+                    count_trees(&cnf, &word),
+                    cyk_count(&cnf, &word),
+                    "mutant {:?}",
+                    cnf.decode(&word)
+                );
+            }
+        }
+    }
+
+    cases = 96;
+    /// Duplicate rules, useless non-terminals and a start symbol with no
+    /// rules, exactly as `from_rules` takes them: the inside count equals
+    /// the scalar CYK count on every word up to 7 letters.
+    fn inside_counts_equal_cyk_on_raw_rules(cnf in rand_raw_cnf) {
+        for word in all_words(7) {
+            prop_assert_eq!(
+                count_trees(&cnf, &word),
+                cyk_count(&cnf, &word),
+                "on {:?}",
+                cnf.decode(&word)
+            );
+        }
+    }
+
+    cases = 96;
+    /// A short random prefix, which often dies, followed by up to 30
+    /// more letters: the inside count equals the scalar CYK count, so a
+    /// pass that stops at a dead prefix stops only where every extension
+    /// counts 0.
+    fn inside_counts_equal_cyk_past_dead_prefixes(
+        cnf in rand_cnf,
+        prefix in rand_word,
+        suffix in |g: &mut Gen| g.vec_of(0..31, |g| Terminal(g.rng().random_range(0..2u16))),
+    ) {
+        let word = [prefix, suffix].concat();
+        prop_assert_eq!(
+            count_trees(&cnf, &word),
+            cyk_count(&cnf, &word),
+            "on {:?}",
+            cnf.decode(&word)
+        );
+    }
+}
+
+/// `aᵏ` for every `k ≤ 72` under `S → S S | a` (Catalan(k − 1) trees) and
+/// `S → S S S | S S | a`: counts pass `u64` in the middle of the pass and
+/// reach 160 bits, and each equals the scalar CYK count.
+#[test]
+fn inside_counts_promote_mid_pass_on_catalan_words() {
+    for src in ["S -> S S | a", "S -> S S S | S S | a"] {
+        let cnf = CnfGrammar::from_grammar(&parse_grammar(src).unwrap());
+        let mut widest = 0;
+        for k in 0..=72 {
+            let word = vec![Terminal(0); k];
+            let n = count_trees(&cnf, &word);
+            assert_eq!(n, cyk_count(&cnf, &word), "{src} on a^{k}");
+            widest = widest.max(n.bits());
+        }
+        assert!(widest > 128, "{src}: counts stay within {widest} bits");
+    }
+}
+
+/// ε is answered by the grammar's flag, and a word whose prefix dies
+/// counts 0 whatever follows; a letter outside the alphabet kills the
+/// prefix at once.
+#[test]
+fn inside_counts_handle_epsilon_and_dead_prefixes() {
+    let dyck = CnfGrammar::from_grammar(&parse_grammar("S -> a S b S | ()").unwrap());
+    assert!(dyck.accepts_epsilon());
+    assert_eq!(count_trees(&dyck, &[]), BigUint::one());
+    let catalan = CnfGrammar::from_grammar(&parse_grammar("S -> S S | a").unwrap());
+    assert!(count_trees(&catalan, &[]).is_zero());
+    let balanced = "ab".repeat(20);
+    for dead in ["b", "abb", "aabbb"] {
+        for tail in ["", "ab", balanced.as_str()] {
+            let word = dyck.encode(&format!("{dead}{tail}")).unwrap();
+            assert!(count_trees(&dyck, &word).is_zero(), "{dead}{tail}");
+            assert!(cyk_count(&dyck, &word).is_zero(), "{dead}{tail}");
+        }
+    }
+    // Balanced words of the same letters parse.
+    for live in ["ab", "aabb", "aabbab"] {
+        let word = dyck.encode(live).unwrap();
+        assert_eq!(count_trees(&dyck, &word), BigUint::one(), "{live}");
+    }
+    let foreign = [Terminal(0), Terminal(7), Terminal(1)];
+    assert!(count_trees(&dyck, &foreign).is_zero());
 }
 
 property! {

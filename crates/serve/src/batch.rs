@@ -390,7 +390,9 @@ impl Scheduler {
             .expect("cache poisoned")
             .get_or_insert_with(key, || {
                 let grammar = grammars.swap_remove(0);
-                Ok(Artifact::Grammar(GrammarArtifact::compile(grammar)))
+                Ok(Artifact::Grammar(GrammarArtifact::compile_hashed(
+                    grammar, key,
+                )))
             });
         let (art, hit) = match resolved {
             Ok((Artifact::Grammar(g), hit)) => (g, hit),
@@ -868,12 +870,12 @@ mod tests {
 
     #[test]
     fn check_recounts_with_the_kernel_that_did_not_serve() {
-        // S → S S | a has a 2-rule CNF: a⁴ is counted by CYK and checked
-        // by the inside pass, a⁴⁸ the other way round; its Catalan(47)
-        // trees overflow u64.
-        let src = "S -> S S | a";
+        // S → S S S | S S | a has a 4-rule CNF: a³ is counted by CYK and
+        // checked by the inside pass, a⁴⁸ the other way round; its trees
+        // overflow u64.
+        let src = "S -> S S S | S S | a";
         let art = GrammarArtifact::compile(ucfg_grammar::text::parse_grammar(src).unwrap());
-        let (short, long) = ("a".repeat(4), "a".repeat(48));
+        let (short, long) = ("a".repeat(3), "a".repeat(48));
         assert_eq!(art.kernel(short.len()), CountKernel::Cyk);
         assert_eq!(art.kernel(long.len()), CountKernel::Inside);
 
@@ -884,7 +886,7 @@ mod tests {
         sched.try_enqueue(Job::Parse(j1)).unwrap();
         sched.try_enqueue(Job::Parse(j2)).unwrap();
         drain_once(&sched, &cache);
-        for (r, count) in [(r1, "5"), (r2, "33868773757191046886429490")] {
+        for (r, count) in [(r1, "3"), (r2, "37148089828257848287481292489600")] {
             let o = r.recv().unwrap().unwrap();
             assert_eq!(o.parse_count, count);
             assert!(o.member && o.ambiguous);

@@ -43,17 +43,19 @@ use ucfg_support::{obs, par};
 /// pass iff `n² ≥ INSIDE_PASS_RATIO · |R|`, and by the CYK fill
 /// otherwise.
 ///
-/// The pass predicts every rule of each predicted non-terminal at every
-/// position, a cost per letter that grows with `|R|`; the bitset CYK
-/// fill pays per cell, and there are `n²/2` cells of up to `n` splits.
-/// So the pass wins once `n²` is large against `|R|`. The
-/// `parsing/parse_count/{cyk,inside}/*` benches (EXPERIMENTS.md, "Which
-/// kernel counts a `/parse` word") put the crossover at `n²/|R|` ≈ 30 on
-/// a random 24-non-terminal grammar (`|R|` = 222), ≈ 85 on `appendix-a`
-/// and ≈ 200 on the Dyck grammar (`|R|` = 8). 64 lies between them,
-/// nearer the large-grammar end: a word sent to the slower kernel costs
-/// milliseconds there and microseconds on a small grammar.
-pub const INSIDE_PASS_RATIO: usize = 64;
+/// The pass's work per letter grows with the items the grammar predicts
+/// and completes; the bitset CYK fill pays per cell, and there are
+/// `n²/2` cells of up to `n` splits. So the pass wins once `n²` is large
+/// against `|R|`. The `parsing/parse_count/{cyk,inside}/*` benches
+/// (EXPERIMENTS.md, "Counting over flat CNF arrays") put the crossover
+/// at `n²/|R|` ≈ 2 on `parse_cold`-shaped random grammars (about 220
+/// rules, 20 letters), ≈ 6 on `appendix-a` (12 letters) and ≈ 14 on the
+/// Dyck grammar (`|R|` = 8, 11 letters). A word sent to the slower
+/// kernel costs tens of microseconds on a large grammar and well under
+/// one on a small one, so the constant sits near the large-grammar end:
+/// 4 keeps every `parse_cold` word (at most 16 letters over at least
+/// 180 rules, `n²/|R|` ≤ 1.5) on CYK with margin.
+pub const INSIDE_PASS_RATIO: usize = 4;
 
 /// The kernel that counts a `/parse` word's parse trees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +116,20 @@ pub struct GrammarArtifact {
 impl GrammarArtifact {
     /// Compile the full artifact set for `grammar`.
     pub fn compile(grammar: Grammar) -> Arc<GrammarArtifact> {
-        let _t = obs::span!("serve.compile.grammar");
         let hash = grammar.content_hash();
+        Self::compile_hashed(grammar, hash)
+    }
+
+    /// [`GrammarArtifact::compile`] for a grammar whose
+    /// [`Grammar::content_hash`] is known already: a `/parse` job's key,
+    /// computed when the request was read.
+    pub(crate) fn compile_hashed(grammar: Grammar, hash: u64) -> Arc<GrammarArtifact> {
+        let _t = obs::span!("serve.compile.grammar");
+        debug_assert_eq!(
+            hash,
+            grammar.content_hash(),
+            "the key is the grammar's hash"
+        );
         let nullable = nullable(&grammar);
         let cnf = {
             let _t = obs::span!("serve.compile.cnf");
@@ -381,7 +395,7 @@ mod tests {
 
     #[test]
     fn kernel_follows_word_length_against_grammar_size() {
-        // Dyck: |R| = 8, so a 96-letter word (96² ≥ 64 · 8) goes to the
+        // Dyck: |R| = 8, so a 96-letter word (96² ≥ 4 · 8) goes to the
         // inside pass.
         let dyck = GrammarArtifact::compile(
             ucfg_grammar::text::parse_grammar("S -> a S b S | ()").unwrap(),
@@ -404,6 +418,10 @@ mod tests {
         let wide = GrammarArtifact::compile(ucfg_grammar::text::parse_grammar(&text).unwrap());
         assert!(wide.cnf.rule_count() > 100, "{}", wide.cnf.rule_count());
         assert_eq!(wide.kernel(12), CountKernel::Cyk);
+        // So does a 16-letter word, the longest `parse_cold` sends; a
+        // 64-letter one goes to the pass.
+        assert_eq!(wide.kernel(16), CountKernel::Cyk);
+        assert_eq!(wide.kernel(64), CountKernel::Inside);
         // The boundary itself belongs to the inside pass.
         let edge = (1..).find(|n| n * n >= INSIDE_PASS_RATIO).unwrap();
         assert_eq!(CountKernel::for_word(edge, 1), CountKernel::Inside);

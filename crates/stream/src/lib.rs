@@ -19,8 +19,8 @@
 //! * [`StreamSession`] — the deterministic session object the
 //!   `/stream/*` serve endpoints and the `ucfg stream` CLI driver
 //!   operate on, bundling a window, an optional product query, and an
-//!   exact tree counter: an Earley inside pass over the CNF view of the
-//!   grammar ([`ucfg_grammar::earley::InsideCounter`]), built once at
+//!   exact tree counter: an Earley inside pass over the rule arrays of
+//!   the grammar's CNF ([`ucfg_grammar::earley::InsideCounter`]), built once at
 //!   open, whose counts equal the CYK counts `/parse` serves. A query
 //!   costs O(W²) on a member window of an unambiguous grammar, where
 //!   the CYK chart cost O(W³), and stops where the window's prefix

@@ -99,7 +99,7 @@ pub struct QueryReport {
     /// Window suffixes (incl. the empty one) in `L(G)`.
     pub suffix_matches: usize,
     /// Exact parse-tree count of the window content, as a decimal
-    /// string: an Earley inside pass over the CNF conversion's view
+    /// string: an Earley inside pass over the CNF conversion's rules
     /// ([`InsideCounter`]), equal to the CYK count `/parse` serves.
     pub count: String,
     /// Product-query answers, when a regex is registered.
